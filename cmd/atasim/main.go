@@ -53,7 +53,6 @@ func main() {
 		algo      = flag.String("algo", "ihc", "algorithm: ihc, vrs, ks, vsq, frs")
 		eta       = flag.String("eta", "2", "IHC interleaving distance η, or a comma-separated list to sweep")
 		workers   = flag.Int("workers", 0, "worker-pool width for η sweeps (0 = GOMAXPROCS, 1 = sequential)")
-		engineW   = flag.Int("engine-workers", 0, "shard each simulation run across this many goroutines (0/1 = sequential engine; results are byte-identical)")
 		overlap   = flag.Bool("overlap", false, "IHC: overlap stages (modified algorithm)")
 		taus      = flag.Int64("taus", 100, "startup τ_S (ticks)")
 		alpha     = flag.Int64("alpha", 20, "cut-through delay α (ticks)")
@@ -179,8 +178,7 @@ func main() {
 			res, err := x.Run(core.Config{
 				Eta: etas[i], Params: p, Overlap: *overlap, Saturated: *saturated,
 				SkipCopies: !*verify || *ledgerF, Ledger: *ledgerF && *verify,
-				Observe:       observe.Tee(sinks...),
-				EngineWorkers: *engineW,
+				Observe: observe.Tee(sinks...),
 			})
 			outs[i] = out{res, err, met, orc, true}
 		}
@@ -279,7 +277,6 @@ func main() {
 		}
 		res, gamma, err := runSerialized(*algo, g, p, atarun.Options{
 			Copies: *verify, Saturated: *saturated, Observe: observe.Tee(sinks...),
-			EngineWorkers: *engineW,
 		})
 		if err != nil {
 			fail(err)
@@ -304,9 +301,6 @@ func main() {
 		}
 		if *ledgerF {
 			fail(fmt.Errorf("-ledger is the IHC counters-only mode; it does not apply to frs"))
-		}
-		if *engineW > 1 {
-			fail(fmt.Errorf("frs runs on the lock-step simulator; -engine-workers does not apply"))
 		}
 		m, ok := hypercubeDim(g)
 		if !ok {

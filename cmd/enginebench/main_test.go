@@ -58,9 +58,11 @@ func TestCheckAllocsFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestCheckSpeedGate pins the ns/event gate: missing or degenerate
-// recorded values fail loudly, a regression beyond tolerance trips it,
-// and measurements within (or at) the envelope pass.
+// TestCheckSpeedGate pins the calibrated ns/event gate: missing or
+// degenerate recorded values fail loudly (including a report from
+// before the gate recorded a calibrated ratio), a regression of the
+// ratio beyond tolerance trips it, and measurements within (or at) the
+// envelope pass.
 func TestCheckSpeedGate(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -70,9 +72,10 @@ func TestCheckSpeedGate(t *testing.T) {
 		}
 		return p
 	}
-	good := write("good.json", `{"current": {"ns_per_event": 100}}`)
-	zero := write("zero.json", `{"current": {"ns_per_event": 0}}`)
-	corrupt := write("corrupt.json", `{"current": {"ns_per_event":`)
+	good := write("good.json", `{"current": {"calibrated_ratio": 0.2}}`)
+	zero := write("zero.json", `{"current": {"calibrated_ratio": 0}}`)
+	uncalibrated := write("uncalibrated.json", `{"current": {"ns_per_event": 38.2}}`)
+	corrupt := write("corrupt.json", `{"current": {"calibrated_ratio":`)
 
 	cases := []struct {
 		name    string
@@ -80,13 +83,14 @@ func TestCheckSpeedGate(t *testing.T) {
 		against string
 		wantErr string
 	}{
-		{"missing file", metrics{NsPerEvent: 100}, filepath.Join(dir, "nope.json"), "reading recorded report"},
-		{"corrupt json", metrics{NsPerEvent: 100}, corrupt, "parsing"},
-		{"zero recorded", metrics{NsPerEvent: 100}, zero, "non-positive"},
-		{"regression", metrics{NsPerEvent: 116}, good, "regressed"},
-		{"pass", metrics{NsPerEvent: 100}, good, ""},
-		{"pass at limit", metrics{NsPerEvent: 114.9}, good, ""},
-		{"pass improved", metrics{NsPerEvent: 40}, good, ""},
+		{"missing file", metrics{Calibrated: 0.2}, filepath.Join(dir, "nope.json"), "reading recorded report"},
+		{"corrupt json", metrics{Calibrated: 0.2}, corrupt, "parsing"},
+		{"zero recorded", metrics{Calibrated: 0.2}, zero, "non-positive"},
+		{"no recorded calibration", metrics{Calibrated: 0.2}, uncalibrated, "non-positive"},
+		{"regression", metrics{Calibrated: 0.232}, good, "regressed"},
+		{"pass", metrics{Calibrated: 0.2}, good, ""},
+		{"pass at limit", metrics{Calibrated: 0.2299}, good, ""},
+		{"pass improved", metrics{Calibrated: 0.08}, good, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,18 +111,20 @@ func TestCheckSpeedGate(t *testing.T) {
 	}
 }
 
-// TestParseWorkerList covers the -engine-workers flag parsing.
-func TestParseWorkerList(t *testing.T) {
-	got, err := parseWorkerList("1,2,4,8")
-	if err != nil || len(got) != 4 || got[0] != 1 || got[3] != 8 {
-		t.Fatalf("parseWorkerList(1,2,4,8) = %v, %v", got, err)
+// TestMedian pins the estimator the speed gate grades.
+func TestMedian(t *testing.T) {
+	if m := median([]float64{5, 1, 3}); m != 3 {
+		t.Fatalf("median(5,1,3) = %g, want 3", m)
 	}
-	if ws, err := parseWorkerList(""); err != nil || ws != nil {
-		t.Fatalf("empty list: %v, %v", ws, err)
+	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Fatalf("median(4,1,3,2) = %g, want 2.5", m)
 	}
-	for _, bad := range []string{"0", "a", "1,,2", "-3"} {
-		if _, err := parseWorkerList(bad); err == nil {
-			t.Errorf("parseWorkerList(%q) accepted", bad)
-		}
+}
+
+// TestCalibratorIsPositive keeps the yardstick sane: a calibration pass
+// must report a positive, finite cost per op.
+func TestCalibratorIsPositive(t *testing.T) {
+	if ns := newCalibrator().pass(); !(ns > 0 && ns < 1e6) {
+		t.Fatalf("calibration pass = %g ns/op, want a positive finite cost", ns)
 	}
 }

@@ -8,7 +8,6 @@
 //	ihcbench -run table2      # one experiment by id
 //	ihcbench -list            # list experiment ids
 //	ihcbench -workers 8       # worker-pool width (0 = GOMAXPROCS)
-//	ihcbench -run scaling -engine-workers 4     # shard each big run's event loop
 //	ihcbench -taus 100 -alpha 20 -mu 2 -d 37   # timing overrides
 //	ihcbench -metrics         # aggregate observability metrics across all runs
 //	ihcbench -run table2 -trace t2.jsonl        # per-hop stream of one experiment
@@ -47,7 +46,6 @@ func main() {
 		run       = flag.String("run", "", "run a single experiment id (default: all)")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		workers   = flag.Int("workers", 0, "worker-pool width for experiments and sweep points (0 = GOMAXPROCS, 1 = sequential)")
-		engineW   = flag.Int("engine-workers", 0, "shard each large simulation run across this many goroutines; divides the -workers budget (0/1 = sequential engine; output is byte-identical)")
 		taus      = flag.Int64("taus", 100, "message startup time τ_S (ticks)")
 		alpha     = flag.Int64("alpha", 20, "cut-through delay α (ticks)")
 		mu        = flag.Int("mu", 2, "packet length μ (FIFO-buffer units)")
@@ -93,12 +91,11 @@ func main() {
 			Mu:    *mu,
 			D:     simnet.Time(*d),
 		},
-		Workers:       *workers,
-		EngineWorkers: *engineW,
-		Stats:         stats,
-		Metrics:       shared,
-		Trace:         trace,
-		Cancel:        ctx.Done(),
+		Workers: *workers,
+		Stats:   stats,
+		Metrics: shared,
+		Trace:   trace,
+		Cancel:  ctx.Done(),
 	}
 
 	exps := harness.All()

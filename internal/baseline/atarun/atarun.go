@@ -29,10 +29,6 @@ type Options struct {
 	// all N chained broadcasts to an observability sink. Nil is the
 	// fast path.
 	Observe simnet.Observer
-	// EngineWorkers shards each chained broadcast's event loop across
-	// that many goroutines (simnet.Options.EngineWorkers); 0 or 1 runs
-	// the sequential engine. Results are byte-identical either way.
-	EngineWorkers int
 }
 
 // Result aggregates a full serialized ATA broadcast.
@@ -61,10 +57,7 @@ func Sequential(g *topology.Graph, p simnet.Params, gen Generator, opts Options)
 	if opts.Copies {
 		res.Copies = simnet.NewCopyMatrix(g.N())
 	}
-	simOpts := simnet.Options{
-		Copies: opts.Copies, Saturated: opts.Saturated, Observe: opts.Observe,
-		EngineWorkers: opts.EngineWorkers,
-	}
+	simOpts := simnet.Options{Copies: opts.Copies, Saturated: opts.Saturated, Observe: opts.Observe}
 	start := simnet.Time(0)
 	for src := 0; src < g.N(); src++ {
 		r, err := net.RunScratch(gen(topology.Node(src), start, src), simOpts, opts.Scratch)

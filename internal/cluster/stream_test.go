@@ -158,6 +158,21 @@ func TestStreamSoakKillRestart(t *testing.T) {
 	if res.Snapshot.Joins == 0 {
 		t.Fatal("restarted node never sent a JOIN")
 	}
+	// The shared sink's epoch gauge counts per-node rounds across every
+	// lifetime, catch-up re-runs included — exactly the completed
+	// verdicts RunStream reports per node.
+	completed := int64(0)
+	for _, results := range res.PerNode {
+		for _, er := range results {
+			if er.Completed {
+				completed++
+			}
+		}
+	}
+	if res.Snapshot.EpochsCompleted != completed {
+		t.Fatalf("gauge counts %d completed epoch rounds, PerNode holds %d completed verdicts",
+			res.Snapshot.EpochsCompleted, completed)
+	}
 	// Goroutine hygiene: everything RunStream started must be gone.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {

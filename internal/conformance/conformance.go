@@ -2,16 +2,15 @@
 // the decomposition registry: one table-driven property suite that any
 // registered hamilton.Family passes end to end, so a new family gets
 // the repository's full checking stack — decomposition validity,
-// schedule feasibility, the live Theorem 3/4 oracles, sequential-vs-
-// sharded byte identity, and the γ-copy ledger postcondition — by
-// registering. The suite is what `internal/hamilton/conformance_test.go`
-// and `make families-quick` run; it lives outside internal/core because
-// it drives core and observe together (core cannot import observe).
+// schedule feasibility, the live Theorem 3/4 oracles, and the γ-copy
+// ledger postcondition — by registering. The suite is what
+// `internal/hamilton/conformance_test.go` and `make families-quick`
+// run; it lives outside internal/core because it drives core and
+// observe together (core cannot import observe).
 package conformance
 
 import (
 	"fmt"
-	"reflect"
 
 	"ihc/internal/core"
 	"ihc/internal/hamilton"
@@ -25,9 +24,6 @@ type Options struct {
 	// Params are the timing parameters (zero value → the repository
 	// defaults τ_S=100 α=20 μ=2 D=37, with μ overridden per point).
 	Params simnet.Params
-	// Workers are the sharded engine widths compared against the
-	// sequential run (default 2 and 4).
-	Workers []int
 	// MaxOracleN caps the sizes that run the full O(N²) copy-matrix
 	// oracle leg (default 64; larger instances still run every other
 	// check).
@@ -37,9 +33,6 @@ type Options struct {
 func (o Options) defaulted() Options {
 	if o.Params == (simnet.Params{}) {
 		o.Params = simnet.Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	}
-	if len(o.Workers) == 0 {
-		o.Workers = []int{2, 4}
 	}
 	if o.MaxOracleN == 0 {
 		o.MaxOracleN = 64
@@ -116,44 +109,15 @@ func Check(in *hamilton.Instance, opt Options) error {
 	// Property 4 — γ-copy ledger: the full run must satisfy the exact
 	// ATA postcondition in both the copy matrix and the counters-only
 	// ledger.
-	base := core.Config{Eta: eta, Params: p, RecordDeliveries: true, Ledger: true}
-	want, err := x.Run(base)
+	res, err := x.Run(core.Config{Eta: eta, Params: p, Ledger: true})
 	if err != nil {
-		return fmt.Errorf("sequential run: %w", err)
+		return fmt.Errorf("ledger run: %w", err)
 	}
-	if err := want.Copies.VerifyATA(x.Gamma()); err != nil {
+	if err := res.Copies.VerifyATA(x.Gamma()); err != nil {
 		return fmt.Errorf("copy matrix: %w", err)
 	}
-	if err := want.Ledger.VerifyATA(x.Gamma()); err != nil {
+	if err := res.Ledger.VerifyATA(x.Gamma()); err != nil {
 		return fmt.Errorf("copy ledger: %w", err)
-	}
-
-	// Property 5 — sequential-vs-sharded byte identity: the sharded
-	// engine must reproduce the sequential run exactly, including the
-	// ordered delivery log, at every requested worker count.
-	for _, w := range opt.Workers {
-		cfg := base
-		cfg.EngineWorkers = w
-		got, err := x.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("workers=%d: %w", w, err)
-		}
-		if got.Finish != want.Finish || got.Contentions != want.Contentions ||
-			got.Deliveries != want.Deliveries || got.Events != want.Events ||
-			got.CutThroughs != want.CutThroughs || got.Injections != want.Injections ||
-			got.LinkBusy != want.LinkBusy {
-			return fmt.Errorf("workers=%d: aggregate result differs from sequential", w)
-		}
-		if !reflect.DeepEqual(got.StageFinish, want.StageFinish) {
-			return fmt.Errorf("workers=%d: stage finish times differ", w)
-		}
-		if !reflect.DeepEqual(got.Deliveriesv, want.Deliveriesv) {
-			return fmt.Errorf("workers=%d: delivery log differs (%d vs %d entries)",
-				w, len(got.Deliveriesv), len(want.Deliveriesv))
-		}
-		if err := got.Ledger.VerifyATA(x.Gamma()); err != nil {
-			return fmt.Errorf("workers=%d: copy ledger: %w", w, err)
-		}
 	}
 	return nil
 }

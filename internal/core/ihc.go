@@ -243,11 +243,6 @@ type Config struct {
 	// internal/observe: metrics aggregators, live theorem oracles,
 	// trace exporters). Nil is the fast path.
 	Observe simnet.Observer
-	// EngineWorkers shards every stage's simulation across that many
-	// worker goroutines (see simnet.Options.EngineWorkers). 0 or 1 runs
-	// the sequential engine; results are byte-identical either way.
-	// Incompatible with Control.
-	EngineWorkers int
 	// Ledger maintains the O(N) counters-only Theorem-4 copy ledger
 	// (see simnet.CopyLedger) incrementally across every stage run,
 	// exposed as Result.Ledger. Unlike the O(N²) Copies matrix its
@@ -347,7 +342,6 @@ func (x *IHC) Run(cfg Config) (*Result, error) {
 		RecordDeliveries: cfg.RecordDeliveries,
 		Control:          cfg.Control,
 		Observe:          cfg.Observe,
-		EngineWorkers:    cfg.EngineWorkers,
 	}
 	if cfg.Ledger {
 		// One ledger shared by every stage run: the engine only adds, so

@@ -1,11 +1,10 @@
 // The cross-family conformance suite: every family registered in the
 // decomposition registry is run through the full verification battery
 // (decomposition validity, schedule feasibility, Theorem 3/4 oracle
-// cleanliness, sequential-vs-sharded byte identity, γ-copy ledger) at
-// the small sizes the family declares via Conformance(). The battery
-// itself lives in internal/conformance — this file is deliberately just
-// the registry iteration, so registering a family is all it takes to be
-// covered. External test package: the battery drives internal/core and
+// cleanliness, γ-copy ledger) at the small sizes the family declares
+// via Conformance(). The battery itself lives in internal/conformance —
+// this file is deliberately just the registry iteration, so registering
+// a family is all it takes to be covered. External test package: the battery drives internal/core and
 // internal/observe, which import hamilton.
 package hamilton_test
 

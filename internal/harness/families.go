@@ -54,8 +54,8 @@ func familiesOverview() (*tablefmt.Table, error) {
 		}
 		t.Addf(f.Key(), f.Describe(), strings.Join(names, ", "))
 	}
-	t.Note("each instance passes the five-property conformance battery: build validity, static")
-	t.Note("contention-freeness, exact live-oracle finish, γ-copy ATA postcondition, sharded identity")
+	t.Note("each instance passes the four-property conformance battery: build validity, static")
+	t.Note("contention-freeness, exact live-oracle finish, γ-copy ATA postcondition")
 	return t, nil
 }
 

@@ -33,15 +33,6 @@ type Config struct {
 	// 0 selects GOMAXPROCS; 1 forces sequential execution. Results are
 	// merged in stable order, so output is identical for every value.
 	Workers int
-	// EngineWorkers shards each individual simulation run across that
-	// many goroutines (simnet.Options.EngineWorkers). The two widths
-	// multiply — EngineWorkers goroutines inside each of up to Workers
-	// concurrent runs — so the across-run pool budget is divided by
-	// EngineWorkers to keep total goroutine pressure at the configured
-	// level: within-run parallelism pays off on few large runs, the
-	// across-run pool on many small ones. 0 or 1 selects the sequential
-	// engine; results are byte-identical for every value.
-	EngineWorkers int
 	// Stats, when non-nil, accumulates per-run wall-clock and simulator
 	// event counters (atomically) across all concurrent runs.
 	Stats *RunStats

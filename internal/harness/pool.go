@@ -78,35 +78,15 @@ func (s *RunStats) Summary() string {
 // workers resolves the effective worker-pool width. A raw trace sink
 // is inherently single-stream, so tracing forces sequential execution
 // regardless of the configured width — the exported stream is then the
-// engine's deterministic event order, every time. When within-run
-// sharding is on (EngineWorkers > 1), the across-run budget is divided
-// by it: the product of the two widths, not their sum, is what lands on
-// the machine, and the caller's Workers (or GOMAXPROCS) is the budget
-// for that product.
+// engine's deterministic event order, every time.
 func (c Config) workers() int {
 	if c.Trace != nil {
 		return 1
 	}
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if c.EngineWorkers > 1 {
-		w /= c.EngineWorkers
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w
-}
-
-// engineWorkers resolves the per-run sharding width experiments should
-// pass into core.Config/simnet.Options (0 = sequential engine).
-func (c Config) engineWorkers() int {
-	if c.EngineWorkers > 1 {
-		return c.EngineWorkers
-	}
-	return 0
+	return c.Workers
 }
 
 // Env is the execution environment a sweep worker hands to every point

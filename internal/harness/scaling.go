@@ -65,9 +65,6 @@ func runScaling(cfg Config) ([]*tablefmt.Table, error) {
 		}
 		res, err := x.Run(core.Config{
 			Eta: eta, Params: p, Cycles: pt.cycles, SkipCopies: true, Scratch: env.Scratch, Observe: env.Obs,
-			// The few-large-runs experiment is the natural consumer of
-			// within-run sharding; results are byte-identical either way.
-			EngineWorkers: cfg.engineWorkers(),
 		})
 		if err != nil {
 			return nil, err

@@ -175,7 +175,12 @@ func peakMax(peak *atomic.Int64, v int64) {
 	}
 }
 
-// StreamSnapshot is a JSON-serializable view of a StreamGauges.
+// StreamSnapshot is a JSON-serializable view of a StreamGauges. The
+// epoch and inflight figures count per-node epoch rounds, summed over
+// every node publishing into the sink: a cluster sharing one sink
+// completes N rounds per epoch, plus one per catch-up re-run after a
+// rejoin, and its inflight gauge is the sum of the nodes' open rounds
+// (each node is capped separately).
 type StreamSnapshot struct {
 	SubmittedHigh   int64 `json:"submitted_high"`
 	SubmittedLow    int64 `json:"submitted_low"`
@@ -259,8 +264,9 @@ func pctIdx(n int, q float64) int {
 // Summary is a human-readable digest for soak reporting.
 func (s StreamSnapshot) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epochs: %d completed, %d failed, %d caught up after rejoin; peak inflight %d\n",
-		s.EpochsCompleted, s.EpochsFailed, s.EpochsCaughtUp, s.PeakInflight)
+	fmt.Fprintf(&b, "epoch rounds summed over nodes, catch-up re-runs included: %d completed, %d failed, %d caught up after rejoin\n",
+		s.EpochsCompleted, s.EpochsFailed, s.EpochsCaughtUp)
+	fmt.Fprintf(&b, "peak inflight epoch rounds, summed over nodes: %d\n", s.PeakInflight)
 	fmt.Fprintf(&b, "ingress: %d high / %d low admitted, %d high / %d low shed, peak queue depth %d\n",
 		s.SubmittedHigh, s.SubmittedLow, s.ShedHigh, s.ShedLow, s.PeakQueueDepth)
 	fmt.Fprintf(&b, "delivered: %d payloads (%d bytes), %.1f payloads/s, %.0f B/s\n",

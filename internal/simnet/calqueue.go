@@ -273,8 +273,7 @@ func (q *calQueue) heapLen() int { return len(q.over.a) }
 // already sorted: a stage's packets advance in lockstep, so tick t's
 // batch — drained in key order — pushes tick t+α's events in key order
 // too. One linear scan certifies that before falling back to a real
-// sort (cross-shard outbox drains and mixed-stage ticks interleave
-// sources and do need it).
+// sort (mixed-stage ticks interleave sources and do need it).
 func sortBucket(b []event) {
 	for i := 1; i < len(b); i++ {
 		if b[i].key < b[i-1].key {

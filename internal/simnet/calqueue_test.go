@@ -51,7 +51,7 @@ func diffSpawner(salt uint64, nextKey *uint64) func(event) []event {
 
 // calDrainAll drains q to empty through the batched tick protocol,
 // feeding each popped event to spawn and pushing what it returns —
-// the same shape as runState.drainUntil.
+// the same shape as runState.drain.
 func calDrainAll(q *calQueue, spawn func(event) []event) []event {
 	var out []event
 	for {

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"testing"
 
 	"ihc/internal/topology"
@@ -278,5 +279,138 @@ func TestControllerNoOpIdentical(t *testing.T) {
 	}
 	if base.Finish != watched.Finish {
 		t.Fatalf("finish differs: %d vs %d", base.Finish, watched.Finish)
+	}
+}
+
+// watchOnly is a controller that never acts: attaching it switches the
+// run from the calendar drain to the pure-heap controller loop and
+// changes nothing else.
+type watchOnly struct{}
+
+func (watchOnly) Attach(*Runtime, []PacketSpec)        {}
+func (watchOnly) OnDeliver(int32, topology.Node, Time) {}
+func (watchOnly) OnTimer(Time, int64)                  {}
+
+// streamObserver records the observer stream in arrival order.
+type streamObserver struct {
+	hops []HopEvent
+	dels []Delivery
+	log  []byte // 'h' per hop, 'd' per delivery
+}
+
+func (o *streamObserver) OnHop(e HopEvent) { o.hops = append(o.hops, e); o.log = append(o.log, 'h') }
+func (o *streamObserver) OnDeliver(d Delivery) {
+	o.dels = append(o.dels, d)
+	o.log = append(o.log, 'd')
+}
+
+// pureFault drops or taints hops as a pure function of its arguments,
+// the shape of internal/fault's compiled Injector.
+type pureFault struct{}
+
+func (pureFault) Relay(id PacketID, hop int, from, to topology.Node, depart Time) FaultAction {
+	switch (uint64(id.Source)*2654435761 + uint64(hop)*97 + uint64(from)*13) % 11 {
+	case 0:
+		return FaultDrop
+	case 1, 2:
+		return FaultCorrupt
+	default:
+		return FaultNone
+	}
+}
+
+// TestCalendarMatchesHeapMode runs each workload twice — through the
+// calendar queue's tick-batched drain, and with a watch-only controller
+// that puts the queue in heap mode — and requires every output channel
+// to match: counters, the ordered delivery log, per-packet traces, the
+// copy matrix, and the observer stream with its hop/delivery
+// interleaving. The workloads cover all switching modes, same-tick
+// contention ties, background traffic, saturation, per-packet flit
+// counts, dependency chains and a fault hook.
+func TestCalendarMatchesHeapMode(t *testing.T) {
+	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
+	ringG, ringSpecs := pipelineSpecs(32)
+
+	// Contended: every packet circles a short ring, at τ_S = 0 and μ = 1
+	// so the blocked-cut-through fallback lands on its evCut's tick.
+	cycle6 := topology.MustCycle(6)
+	ring6 := make([]topology.Node, 12)
+	for i := range ring6 {
+		ring6[i] = topology.Node(i % 6)
+	}
+	var contended []PacketSpec
+	for s := 0; s < 6; s++ {
+		contended = append(contended, PacketSpec{ID: PacketID{Source: topology.Node(s)}, Route: ring6[s : s+6], Tee: true})
+	}
+
+	flits := append([]PacketSpec(nil), ringSpecs...)
+	for i := range flits {
+		flits[i].Flits = 1 + i%3
+	}
+
+	route12 := func(from, n int) []topology.Node {
+		r := make([]topology.Node, n)
+		for i := range r {
+			r[i] = topology.Node((from + i) % 12)
+		}
+		return r
+	}
+	deps := []PacketSpec{
+		{ID: PacketID{Source: 0}, Route: route12(0, 4), Tee: true},
+		{ID: PacketID{Source: 3, Seq: 1}, Route: route12(3, 4), Tee: true, After: []int{0}, Inject: 10},
+		{ID: PacketID{Source: 6, Seq: 2}, Route: route12(6, 4), Tee: true, After: []int{1}},
+		{ID: PacketID{Source: 3, Channel: 1}, Route: route12(3, 7), Tee: true, After: []int{0}},
+		{ID: PacketID{Source: 9, Seq: 3}, Route: route12(9, 4), Tee: true, After: []int{2, 3}},
+	}
+
+	withMode := func(m Mode) Params { q := p; q.Mode = m; return q }
+	cases := []struct {
+		name  string
+		g     *topology.Graph
+		p     Params
+		specs []PacketSpec
+		opts  Options
+	}{
+		{"virtual-cut-through", ringG, withMode(VirtualCutThrough), ringSpecs, Options{Copies: true}},
+		{"store-and-forward", ringG, withMode(StoreAndForward), ringSpecs, Options{Copies: true}},
+		{"wormhole", ringG, withMode(Wormhole), ringSpecs, Options{Copies: true}},
+		{"contended", cycle6, Params{TauS: 0, Alpha: 20, Mu: 1, D: 37}, contended, Options{Copies: true}},
+		{"background", ringG, Params{TauS: 100, Alpha: 20, Mu: 2, D: 37, Rho: 0.35, Seed: 12345}, ringSpecs, Options{}},
+		{"saturated", ringG, p, ringSpecs, Options{Saturated: true}},
+		{"flits", ringG, p, flits, Options{}},
+		{"deps", topology.MustCycle(12), p, deps, Options{Copies: true}},
+		{"faults", ringG, p, ringSpecs, Options{Fault: pureFault{}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(ctl Controller) (*Result, *streamObserver) {
+				obs := &streamObserver{}
+				opts := tc.opts
+				opts.RecordDeliveries, opts.Trace, opts.Observe, opts.Control = true, true, obs, ctl
+				return mustRun(t, tc.g, tc.p, tc.specs, opts), obs
+			}
+			cal, calObs := run(nil)
+			heap, heapObs := run(watchOnly{})
+			if cal.Deliveries == 0 {
+				t.Fatal("workload delivered nothing; comparison vacuous")
+			}
+			if keyOf(cal) != keyOf(heap) || cal.FaultDrops != heap.FaultDrops || cal.FaultTaints != heap.FaultTaints {
+				t.Errorf("counters differ:\ncalendar %+v drops %d taints %d\n    heap %+v drops %d taints %d",
+					keyOf(cal), cal.FaultDrops, cal.FaultTaints, keyOf(heap), heap.FaultDrops, heap.FaultTaints)
+			}
+			if !reflect.DeepEqual(cal.Deliveriesv, heap.Deliveriesv) {
+				t.Error("delivery log differs")
+			}
+			if !reflect.DeepEqual(cal.Traces, heap.Traces) {
+				t.Error("traces differ")
+			}
+			if !reflect.DeepEqual(cal.Copies, heap.Copies) {
+				t.Error("copy matrix differs")
+			}
+			if string(calObs.log) != string(heapObs.log) || !reflect.DeepEqual(calObs.hops, heapObs.hops) ||
+				!reflect.DeepEqual(calObs.dels, heapObs.dels) {
+				t.Error("observer stream differs")
+			}
+		})
 	}
 }

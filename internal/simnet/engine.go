@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"math"
 
 	"ihc/internal/topology"
 )
@@ -56,10 +55,9 @@ const (
 // simulated time: spec index, then hop, then kind (evCut orders before
 // evSend). Together with the time it forms a total order over all
 // possible packet events that is a pure function of the event *set* —
-// not of heap push order — which is what lets the sharded engine
-// (sharded.go) process disjoint link sets on concurrent workers and
-// still reproduce the sequential event order exactly. Two properties
-// make the order well defined and causal:
+// not of heap push order — so every conforming queue (the calendar
+// queue, the reference heap, controller-mode heap) pops the identical
+// sequence. Two properties make the order well defined and causal:
 //
 //   - distinct events have distinct keys: each (pkt, hop) produces at
 //     most one evCut and at most one evSend per run;
@@ -91,8 +89,8 @@ type event struct {
 // before reports whether a orders strictly before b: primary key is
 // simulated time, tiebroken by the deterministic event key. The order is
 // total (keys are unique), so every conforming priority queue pops the
-// exact same event sequence — the determinism the regression oracle and
-// the sharded engine's merge both rely on.
+// exact same event sequence — the determinism the regression oracle
+// relies on.
 func (a *event) before(b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
@@ -175,53 +173,30 @@ type Options struct {
 	Saturated bool
 	// Fault, when non-nil, is consulted once per performed hop and may
 	// drop the copy or taint its payload (see FaultHook). Nil costs one
-	// predictable branch per event on the hot path. In a sharded run
-	// (EngineWorkers > 1) the hook is consulted from several goroutines
-	// at once and must be safe for concurrent use; hooks that decide
-	// purely from their arguments and immutable state — like the
-	// compiled fault.Injector — qualify as-is.
+	// predictable branch per event on the hot path.
 	Fault FaultHook
 	// Control, when non-nil, attaches an online controller (see
 	// Controller): it observes deliveries, sets timers, and may inject
 	// new packets mid-run — the machinery behind the repair layer. Nil
 	// costs one predictable branch per event and one per delivery.
-	// Controllers are inherently sequential; combining Control with
-	// EngineWorkers > 1 is an error.
 	Control Controller
 	// Observe, when non-nil, streams every performed hop and every
 	// delivery to an observability sink (see Observer and
 	// internal/observe). Nil costs one predictable branch per event and
-	// one per delivery, preserving the allocation-free hot path. Sharded
-	// runs buffer the records per time window and replay them to the
-	// sink from a single goroutine in the engine's deterministic (time,
-	// key) order, so sinks never need locking and see the exact
-	// sequential stream at any worker count.
+	// one per delivery, preserving the allocation-free hot path. Records
+	// arrive in the engine's deterministic (time, key) order.
 	Observe Observer
-	// EngineWorkers shards this run's links across that many worker
-	// goroutines with conservative time-window synchronization
-	// (sharded.go). 0 or 1 selects the sequential engine. Results are
-	// byte-identical at every worker count; the paper's contention-
-	// freeness theorem (per-link independence, minimum α between an
-	// event and anything it causes on another link) is what makes the
-	// window bound safe.
-	EngineWorkers int
 	// Ledger, when non-nil, accumulates every delivery into the O(N)
 	// incremental Theorem-4 copy ledger (see CopyLedger) — the
 	// counters-only replacement for the O(N²) Copies matrix at Q14+/Q16
 	// scale. The engine only adds to it; callers may share one ledger
 	// across chained runs (core does, per stage) and verify at the end.
-	// Sharded runs accumulate into shard-local ledgers and merge them
-	// commutatively, so the final counts are identical at every worker
-	// count.
 	Ledger *CopyLedger
 }
 
 // runState is the working state of one Run. It lives inside a Scratch so
 // that every slice — the event queue, the compiled routes, the
-// dependency bookkeeping — keeps its backing array across runs. In a
-// sharded run each shard owns a runState of its own; the compiled
-// routes and dependency tables are shared (read-only, or guarded — see
-// sharded.go) while the queue, counters, and Result stay shard-local.
+// dependency bookkeeping — keeps its backing array across runs.
 type runState struct {
 	net      *Network
 	specs    []PacketSpec
@@ -229,13 +204,13 @@ type runState struct {
 	queue    calQueue
 	seq      int64 // monotonic timer sequence (controller runs only)
 	res      *Result
-	ledger   *CopyLedger // delivery sink when Options.Ledger is set (shard-local in sharded runs)
-	arcStamp []int32   // per arc: spec index + 1 that last used it (duplicate detection)
-	arcs     []int32   // backing store for routes compiled by this run
-	specArcs [][]int32 // per spec: one arc index per hop (into arcs, or a caller-supplied CompiledPath)
-	children [][]int32 // per spec: dependent spec indices
-	unmet    [][]int32 // per spec: parents that have not yet delivered at Route[0]
-	ready    []Time    // per spec: latest parent delivery at Route[0]
+	ledger   *CopyLedger // delivery sink when Options.Ledger is set
+	arcStamp []int32     // per arc: spec index + 1 that last used it (duplicate detection)
+	arcs     []int32     // backing store for routes compiled by this run
+	specArcs [][]int32   // per spec: one arc index per hop (into arcs, or a caller-supplied CompiledPath)
+	children [][]int32   // per spec: dependent spec indices
+	unmet    [][]int32   // per spec: parents that have not yet delivered at Route[0]
+	ready    []Time      // per spec: latest parent delivery at Route[0]
 	started  []bool
 	corrupt  []bool // per spec: payload tainted by the fault hook (hook runs only)
 	hasDeps  bool   // any spec has an After list (gates the dependency path)
@@ -247,13 +222,6 @@ type runState struct {
 	// can be validated against causality.
 	ownSpecs []PacketSpec
 	now      Time
-
-	// Sharded-mode binding (nil in sequential runs): sh links this
-	// runState to its shard, and curKey is the ordering key of the event
-	// currently being handled — the tag that lets buffered deliveries
-	// and observer records merge back into exact sequential order.
-	sh     *shard
-	curKey uint64
 }
 
 // release drops the pointers a finished run would otherwise pin in the
@@ -261,7 +229,6 @@ type runState struct {
 // reusable backing arrays.
 func (st *runState) release() {
 	st.net, st.specs, st.res = nil, nil, nil
-	st.sh = nil
 	st.ledger = nil
 	// Route windows may alias caller-owned CompiledPaths; drop every
 	// reference (including tail entries from earlier, larger runs) so the
@@ -288,11 +255,8 @@ func (n *Network) Run(specs []PacketSpec, opts Options) (*Result, error) {
 // allocations of the event loop live in sc and are reused by the next
 // run. A nil sc borrows scratch from an internal pool. A Scratch must
 // never be used by two goroutines at once; results are identical with
-// or without reuse, and with any Options.EngineWorkers value.
+// or without reuse.
 func (n *Network) RunScratch(specs []PacketSpec, opts Options, sc *Scratch) (*Result, error) {
-	if opts.EngineWorkers > 1 {
-		return n.runSharded(specs, opts, sc)
-	}
 	if sc == nil {
 		sc = scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(sc)
@@ -310,7 +274,7 @@ func (n *Network) RunScratch(specs []PacketSpec, opts Options, sc *Scratch) (*Re
 		st.start(int32(i), s.Inject)
 	}
 	if opts.Control == nil {
-		st.drainUntil(Time(math.MaxInt64))
+		st.drain()
 	} else {
 		// Controller-attached loop: the specs are copied into scratch-owned
 		// memory first so Runtime.Inject may append mid-run, and timer
@@ -337,26 +301,23 @@ func (n *Network) RunScratch(specs []PacketSpec, opts Options, sc *Scratch) (*Re
 	return st.finish()
 }
 
-// drainUntil is the window-batched hot loop shared by the sequential
-// engine (end = ∞) and each shard of a sharded run (end = the window
-// bound): take one whole tick bucket as a key-sorted slice, handle it
-// back to back in one tight loop — no per-event heap sifting — and
-// consume each event's same-tick respawn (the blocked cut-through
-// fallback, whose key is the immediate successor of its spawner's)
-// right after the event that spawned it, exactly where the heap would
-// have popped it.
-func (st *runState) drainUntil(end Time) {
+// drain is the tick-batched hot loop of controller-free runs: take one
+// whole tick bucket as a key-sorted slice, handle it back to back in one
+// tight loop — no per-event heap sifting — and consume each event's
+// same-tick respawn (the blocked cut-through fallback, whose key is the
+// immediate successor of its spawner's) right after the event that
+// spawned it, exactly where the heap would have popped it.
+func (st *runState) drain() {
 	q := &st.queue
 	for {
 		t, ok := q.nextTick()
-		if !ok || t >= end {
+		if !ok {
 			return
 		}
 		b := q.takeTick(t)
 		st.res.Events += int64(len(b))
 		st.now = t
 		for i := range b {
-			st.curKey = b[i].key
 			st.handle(b[i])
 			for {
 				ev, ok := q.takeSame()
@@ -364,7 +325,6 @@ func (st *runState) drainUntil(end Time) {
 					break
 				}
 				st.res.Events++
-				st.curKey = ev.key
 				st.handle(ev)
 			}
 		}
@@ -374,8 +334,7 @@ func (st *runState) drainUntil(end Time) {
 
 // prepare initializes the run state: it validates and compiles every
 // route, builds the dependency tables, and sizes the per-run recording
-// structures. It is shared verbatim by the sequential and sharded
-// engines, so both compile the exact same program.
+// structures.
 func (st *runState) prepare(n *Network, specs []PacketSpec, opts Options) error {
 	st.net, st.specs, st.opts = n, specs, opts
 	st.res = &Result{}
@@ -581,20 +540,9 @@ func (st *runState) start(i int32, at Time) {
 	st.res.Injections++
 }
 
-// push enqueues a packet event under its deterministic key. In a sharded
-// run the event is routed to the shard owning its hop's arc: the shard's
-// own heap when local, the target's outbox (drained at the next window
-// barrier) otherwise. Same-arc respawns — the blocked-cut-through
-// fallback — always stay local, which is what keeps the window bound at
-// the cross-link minimum α.
+// push enqueues a packet event under its deterministic key.
 func (st *runState) push(ev event) {
 	ev.key = packetKey(ev.pkt, ev.hop, ev.kind)
-	if sh := st.sh; sh != nil {
-		if tgt := sh.owner(st.specArcs[ev.pkt][ev.hop]); tgt != sh.id {
-			sh.outbox[tgt] = append(sh.outbox[tgt], ev)
-			return
-		}
-	}
 	st.queue.push(ev)
 }
 
@@ -703,32 +651,22 @@ func (st *runState) handle(ev event) {
 	tailAtNext := depart + pt
 	last := int32(len(spec.Route) - 2)
 	if st.opts.Trace {
-		h := Hop{
+		st.res.Traces[spec.ID] = append(st.res.Traces[spec.ID], Hop{
 			From: from, To: to, Kind: kind,
 			HeaderDepart: depart, TailArrive: tailAtNext, Blocked: blocked,
-		}
-		if sh := st.sh; sh != nil {
-			sh.traces = append(sh.traces, taggedHop{t: ev.t, key: ev.key, pkt: ev.pkt, h: h})
-		} else {
-			st.res.Traces[spec.ID] = append(st.res.Traces[spec.ID], h)
-		}
+		})
 	}
 	if st.opts.Observe != nil {
 		flits := p.Mu
 		if spec.Flits > 0 {
 			flits = spec.Flits
 		}
-		he := HopEvent{
+		st.opts.Observe.OnHop(HopEvent{
 			ID: spec.ID, Hop: int(ev.hop), From: from, To: to,
 			Arc:  int(arc),
 			Kind: kind, HeaderDepart: depart, TailArrive: tailAtNext,
 			Flits: flits, Blocked: blocked,
-		}
-		if sh := st.sh; sh != nil {
-			sh.obs = append(sh.obs, obsRec{t: ev.t, key: ev.key, isHop: true, hop: he})
-		} else {
-			st.opts.Observe.OnHop(he)
-		}
+		})
 	}
 	// The next node receives a copy if it is the final node, or by the
 	// tee operation while the packet passes through.
@@ -763,19 +701,7 @@ func (st *runState) deliver(pkt int32, node topology.Node, at Time) {
 	id := st.specs[pkt].ID
 	st.res.Deliveries++
 	if st.hasDeps && len(st.children[pkt]) > 0 {
-		// Dependency release mutates tables shared by every shard of a
-		// sharded run; the mutex is taken only on this rare path (the
-		// serialized baselines), never by dependency-free schedules like
-		// IHC. Release order within a window cannot matter: each parent
-		// removes only itself, ready keeps a max, and the last removal —
-		// whichever shard performs it — observes the same final state.
-		if sh := st.sh; sh != nil {
-			sh.run.depMu.Lock()
-			st.releaseDeps(pkt, node, at)
-			sh.run.depMu.Unlock()
-		} else {
-			st.releaseDeps(pkt, node, at)
-		}
+		st.releaseDeps(pkt, node, at)
 	}
 	if at > st.res.Finish {
 		st.res.Finish = at
@@ -786,25 +712,15 @@ func (st *runState) deliver(pkt int32, node topology.Node, at Time) {
 	if st.ledger != nil {
 		st.ledger.Add(node, id.Source)
 	}
-	if st.opts.RecordDeliveries {
+	if st.opts.RecordDeliveries || st.opts.Observe != nil {
 		d := Delivery{
 			ID: id, Node: node, At: at,
 			Corrupted: st.opts.Fault != nil && st.corrupt[pkt],
 		}
-		if sh := st.sh; sh != nil {
-			sh.delivs = append(sh.delivs, taggedDeliv{t: st.now, key: st.curKey, d: d})
-		} else {
+		if st.opts.RecordDeliveries {
 			st.res.Deliveriesv = append(st.res.Deliveriesv, d)
 		}
-	}
-	if st.opts.Observe != nil {
-		d := Delivery{
-			ID: id, Node: node, At: at,
-			Corrupted: st.opts.Fault != nil && st.corrupt[pkt],
-		}
-		if sh := st.sh; sh != nil {
-			sh.obs = append(sh.obs, obsRec{t: st.now, key: st.curKey, del: d})
-		} else {
+		if st.opts.Observe != nil {
 			st.opts.Observe.OnDeliver(d)
 		}
 	}

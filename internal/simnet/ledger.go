@@ -31,10 +31,9 @@ import (
 // via Options.Copies at scales where O(N²) is affordable; equivalence
 // tests pin the two against each other.
 //
-// Add is single-goroutine (the engine calls it from the event loop);
-// sharded runs give each shard a private ledger and Merge them — both
-// aggregates are sums, so merging is commutative and the totals are
-// identical at every worker count.
+// Add is single-goroutine (the engine calls it from the event loop).
+// Both aggregates are sums, so ledgers filled by separate runs Merge
+// commutatively into identical totals.
 type CopyLedger struct {
 	n     int
 	count []int64  // copies received, per receiver, from any other node
@@ -83,8 +82,8 @@ func (l *CopyLedger) Add(recv, src topology.Node) {
 func (l *CopyLedger) Count(recv topology.Node) int64 { return l.count[recv] }
 
 // Merge adds all of other's aggregates into l. The ledgers must be the
-// same size. Merging is commutative and associative, so shard-local
-// ledgers combined in any order yield identical totals.
+// same size. Merging is commutative and associative, so ledgers
+// combined in any order yield identical totals.
 func (l *CopyLedger) Merge(other *CopyLedger) {
 	if other.n != l.n {
 		panic(fmt.Sprintf("simnet: merging %d-node ledger into %d-node ledger", other.n, l.n))

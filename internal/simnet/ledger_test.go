@@ -70,9 +70,9 @@ func TestCopyLedgerBasics(t *testing.T) {
 	}
 }
 
-// TestCopyLedgerMergeCommutes pins the sharded-merge contract: random
-// delivery sets split across several ledgers merge to the same totals
-// in any order, equal to one ledger fed everything.
+// TestCopyLedgerMergeCommutes pins the merge contract: random delivery
+// sets split across several ledgers merge to the same totals in any
+// order, equal to one ledger fed everything.
 func TestCopyLedgerMergeCommutes(t *testing.T) {
 	const n = 16
 	rng := rand.New(rand.NewSource(5))
@@ -108,65 +108,25 @@ func TestCopyLedgerMergeCommutes(t *testing.T) {
 func TestLedgerMatchesMatrix(t *testing.T) {
 	g, specs := pipelineSpecs(32)
 	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
-	for _, w := range shardedWorkerCounts {
-		net, err := New(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ledger := NewCopyLedger(g.N())
-		res, err := net.Run(specs, Options{Copies: true, Ledger: ledger, EngineWorkers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for r := 0; r < g.N(); r++ {
-			var wantCount int64
-			var wantSum uint64
-			for s := 0; s < g.N(); s++ {
-				c := int64(res.Copies.Get(topology.Node(r), topology.Node(s)))
-				if r == s {
-					if ledger.self[r] != c {
-						t.Fatalf("workers=%d: receiver %d self copies ledger %d, matrix %d", w, r, ledger.self[r], c)
-					}
-					continue
+	ledger := NewCopyLedger(g.N())
+	res := mustRun(t, g, p, specs, Options{Copies: true, Ledger: ledger})
+	for r := 0; r < g.N(); r++ {
+		var wantCount int64
+		var wantSum uint64
+		for s := 0; s < g.N(); s++ {
+			c := int64(res.Copies.Get(topology.Node(r), topology.Node(s)))
+			if r == s {
+				if ledger.self[r] != c {
+					t.Fatalf("receiver %d self copies ledger %d, matrix %d", r, ledger.self[r], c)
 				}
-				wantCount += c
-				wantSum += uint64(c) * ledgerMix(topology.Node(s))
+				continue
 			}
-			if ledger.count[r] != wantCount || ledger.fpSum[r] != wantSum {
-				t.Fatalf("workers=%d: receiver %d ledger (count %d sum %#x), matrix implies (count %d sum %#x)",
-					w, r, ledger.count[r], ledger.fpSum[r], wantCount, wantSum)
-			}
+			wantCount += c
+			wantSum += uint64(c) * ledgerMix(topology.Node(s))
 		}
-	}
-}
-
-// TestLedgerShardedIdentical pins byte-identity of the counters-only
-// mode across worker counts: the ledger a sharded run merges from its
-// shard-locals equals the sequential ledger exactly.
-func TestLedgerShardedIdentical(t *testing.T) {
-	g, specs := pipelineSpecs(32)
-	p := Params{TauS: 0, Alpha: 20, Mu: 1, D: 37} // tightest same-tick fallback regime
-	seqNet, err := New(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqLedger := NewCopyLedger(g.N())
-	if _, err := seqNet.Run(specs, Options{Ledger: seqLedger}); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range shardedWorkerCounts {
-		net, err := New(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ledger := NewCopyLedger(g.N())
-		if _, err := net.Run(specs, Options{Ledger: ledger, EngineWorkers: w}); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for r := 0; r < g.N(); r++ {
-			if ledger.count[r] != seqLedger.count[r] || ledger.self[r] != seqLedger.self[r] || ledger.fpSum[r] != seqLedger.fpSum[r] {
-				t.Fatalf("workers=%d: receiver %d ledger diverged from sequential", w, r)
-			}
+		if ledger.count[r] != wantCount || ledger.fpSum[r] != wantSum {
+			t.Fatalf("receiver %d ledger (count %d sum %#x), matrix implies (count %d sum %#x)",
+				r, ledger.count[r], ledger.fpSum[r], wantCount, wantSum)
 		}
 	}
 }

@@ -15,20 +15,6 @@ import "sync"
 // value is ready to use.
 type Scratch struct {
 	st runState
-	// shards holds the per-worker states of sharded runs (EngineWorkers
-	// > 1); each keeps its own calendar queue, counters, and merge
-	// buffers across runs, so sharded steady state reuses memory like
-	// the sequential path does.
-	shards []*shard
-}
-
-// shardSlots returns w reusable shard slots, growing the slice as
-// needed. Slots keep their backing arrays between runs.
-func (sc *Scratch) shardSlots(w int) []*shard {
-	for len(sc.shards) < w {
-		sc.shards = append(sc.shards, &shard{})
-	}
-	return sc.shards[:w]
 }
 
 // NewScratch returns an empty scratch; capacity grows on first use and

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -647,5 +648,176 @@ func TestVariableFlitsTiming(t *testing.T) {
 	want := 2 * (p.TauS + 7*p.Alpha)
 	if res.Finish != want {
 		t.Fatalf("finish = %d, want %d", res.Finish, want)
+	}
+}
+
+// TestScratchReuseAcrossTopologies is the aliasing regression test: one
+// Scratch serves runs on networks of very different sizes and shapes,
+// interleaved — any stale compiled-route or dependency-table state
+// leaking between runs shows up as a mismatch against a fresh-scratch
+// reference.
+func TestScratchReuseAcrossTopologies(t *testing.T) {
+	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
+	type workload struct {
+		name  string
+		g     *topology.Graph
+		specs []PacketSpec
+	}
+	big, bigSpecs := pipelineSpecs(64)
+	small, smallSpecs := pipelineSpecs(8)
+	qube := topology.MustHypercube(3)
+	var qubeSpecs []PacketSpec
+	for s := 0; s < 8; s++ {
+		// One 3-hop dimension-ordered route per source.
+		qubeSpecs = append(qubeSpecs, PacketSpec{
+			ID:    PacketID{Source: topology.Node(s)},
+			Route: []topology.Node{topology.Node(s), topology.Node(s ^ 1), topology.Node(s ^ 1 ^ 2), topology.Node(s ^ 1 ^ 2 ^ 4)},
+			Tee:   true,
+		})
+	}
+	deps := []PacketSpec{
+		{ID: PacketID{Source: 0}, Route: []topology.Node{0, 1, 2}, Tee: true},
+		{ID: PacketID{Source: 2, Seq: 1}, Route: []topology.Node{2, 3, 4}, After: []int{0}},
+	}
+	workloads := []workload{
+		{"ring64", big, bigSpecs},
+		{"q3", qube, qubeSpecs},
+		{"ring8", small, smallSpecs},
+		{"deps", topology.MustCycle(8), deps},
+		{"ring64-again", big, bigSpecs},
+	}
+	sc := NewScratch()
+	opts := Options{RecordDeliveries: true}
+	for _, wl := range workloads {
+		fresh := mustRun(t, wl.g, p, wl.specs, opts)
+		net, err := New(wl.g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := net.RunScratch(wl.specs, opts, sc)
+		if err != nil {
+			t.Fatalf("%s reused scratch: %v", wl.name, err)
+		}
+		if keyOf(res) != keyOf(fresh) {
+			t.Errorf("%s: reused scratch differs from fresh:\n got %+v\nwant %+v",
+				wl.name, keyOf(res), keyOf(fresh))
+		}
+		if !reflect.DeepEqual(res.Deliveriesv, fresh.Deliveriesv) {
+			t.Errorf("%s: reused-scratch delivery log differs", wl.name)
+		}
+	}
+}
+
+// TestCompiledPathWindows checks the shared-path route layout against
+// per-hop compilation: specs referencing windows of one compiled doubled
+// cycle must behave exactly like the same routes compiled individually.
+func TestCompiledPathWindows(t *testing.T) {
+	const n = 16
+	g := topology.MustCycle(n)
+	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37}
+	doubled := make([]topology.Node, 2*n)
+	for i := range doubled {
+		doubled[i] = topology.Node(i % n)
+	}
+	plain := make([]PacketSpec, 0, n/2)
+	for s := 0; s < n; s += 2 {
+		plain = append(plain, PacketSpec{
+			ID:    PacketID{Source: topology.Node(s)},
+			Route: doubled[s : s+n],
+			Tee:   true,
+		})
+	}
+	want := mustRun(t, g, p, plain, Options{Copies: true, RecordDeliveries: true})
+
+	net, err := New(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := net.CompilePath(doubled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := make([]PacketSpec, len(plain))
+	copy(shared, plain)
+	for i := range shared {
+		shared[i].Path, shared[i].PathOff = cp, int(shared[i].ID.Source)
+	}
+	res, err := net.Run(shared, Options{Copies: true, RecordDeliveries: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyOf(res) != keyOf(want) {
+		t.Errorf("compiled-path run differs: got %+v want %+v", keyOf(res), keyOf(want))
+	}
+	if !reflect.DeepEqual(res.Deliveriesv, want.Deliveriesv) {
+		t.Error("compiled-path delivery log differs from per-hop compilation")
+	}
+
+	// Misuse must fail loudly, not silently route over wrong arcs.
+	bad := shared[:1:1]
+	bad[0].PathOff = int(bad[0].ID.Source) + 1 // endpoints disagree with window
+	if _, err := net.Run(bad, Options{}); err == nil {
+		t.Error("mismatched path window accepted")
+	}
+	other, err := New(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Run(shared[:1], Options{}); err == nil {
+		t.Error("compiled path accepted by a different network")
+	}
+}
+
+// TestBackgroundSeedPerArc pins per-arc seeding: background traffic is a
+// pure function of (Seed, arc id). Two networks with the same seed must
+// produce identical traffic; different seeds must not; and querying
+// links in different orders must not change any link's pattern.
+func TestBackgroundSeedPerArc(t *testing.T) {
+	g := topology.MustCycle(8)
+	p := Params{TauS: 100, Alpha: 20, Mu: 2, D: 37, Rho: 0.5, Seed: 42}
+	sample := func(net *Network, order []int) map[int][]Time {
+		out := make(map[int][]Time)
+		for _, i := range order {
+			bg := net.links[i].bg
+			var ts []Time
+			for q := Time(0); q < 2000; q += 100 {
+				free, _ := bg.freeFrom(q)
+				ts = append(ts, free)
+			}
+			out[i] = ts
+		}
+		return out
+	}
+	a, err := New(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := []int{0, 1, 2, 3}
+	rev := []int{3, 2, 1, 0}
+	sa, sb := sample(a, fwd), sample(b, rev)
+	for _, i := range fwd {
+		if !reflect.DeepEqual(sa[i], sb[i]) {
+			t.Errorf("arc %d: same seed, different query order: traffic differs", i)
+		}
+	}
+	p2 := p
+	p2.Seed = 43
+	c, err := New(g, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sample(c, fwd)
+	same := 0
+	for _, i := range fwd {
+		if reflect.DeepEqual(sa[i], sc[i]) {
+			same++
+		}
+	}
+	if same == len(fwd) {
+		t.Error("seeds 42 and 43 produced identical background traffic on every sampled arc")
 	}
 }
