@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-engine bench-fault fuzz smoke-engine recovery-quick oracle-quick families-quick transport-quick soak-quick q14-smoke verify
+.PHONY: all build perfbench-build test race vet bench bench-engine bench-fault fuzz smoke-engine recovery-quick oracle-quick families-quick transport-quick soak-quick q14-smoke verify
 
 all: verify
 
@@ -17,6 +17,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own module (perfbench/go.mod), so the root
+# `go build ./...` never compiles it; vet and build it here so a change
+# to the cluster or stream API cannot break the benchmark silently.
+perfbench-build:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench build -o /dev/null .
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -104,18 +111,20 @@ families-quick:
 q14-smoke:
 	$(GO) run ./cmd/atasim -net Q14 -algo ihc -eta 2 -ledger
 
-# Real-transport smoke: first the transport/cluster/repair unit tests
-# under the race detector (jittered backoff, breaker transitions, the
-# peer-dies-and-reconnects NAK path, and the in-process loopback + TCP
-# chaos rounds), then the multi-process check — `ihcd -launch` boots 8
-# real ihcd daemons as separate OS processes on a Q3 overlay with a
-# socket-level chaos proxy on every link, SIGKILLs node 6 mid-round,
-# partitions link {1,3}, and requires every survivor's counters-only
-# ledger to show the exact γ-copy postcondition plus a clean (exit 0)
-# SIGTERM shutdown; the -faultfree leg additionally requires the
-# wall-clock delivery multiset to equal the discrete-event engine's.
+# Real-transport smoke: first the transport/chaos/stream/cluster/repair
+# unit tests under the race detector (jittered backoff, breaker
+# transitions, chaos-plan verdicts, the peer-dies-and-reconnects NAK
+# path, and the in-process loopback + TCP chaos rounds, each a
+# one-epoch run of the stream node), then the
+# multi-process check — `ihcd -launch` boots 8 real ihcd daemons, each
+# one stream.Node running one epoch, as separate OS processes on a Q3
+# overlay with a socket-level chaos proxy on every link, SIGKILLs node 6
+# mid-round, partitions link {1,3}, and requires every survivor's
+# epoch verdict to show the exact γ-copy postcondition plus a clean
+# (exit 0) SIGTERM shutdown; the -faultfree leg additionally requires
+# the wall-clock delivery multiset to equal the discrete-event engine's.
 transport-quick:
-	$(GO) test -race -count=1 ./internal/transport ./internal/cluster ./internal/repair ./internal/hlc
+	$(GO) test -race -count=1 ./internal/transport ./internal/chaos ./internal/stream ./internal/cluster ./internal/repair ./internal/hlc
 	$(GO) run ./cmd/ihcd -launch
 	$(GO) run ./cmd/ihcd -launch -faultfree
 
@@ -131,9 +140,10 @@ transport-quick:
 soak-quick:
 	$(GO) run ./cmd/ihcd -soak -deadline 60s
 
-# The tier-1 gate: vet + build + tests, then the same tests under the
-# race detector (the parallel sweep executor must stay race-clean),
-# then the engine-regression smoke, the quick recovery sweep, the
-# quick oracle sweep, the quick family-registry gate, the
-# real-transport multi-process smoke, and the streaming chaos soak.
-verify: vet build test race smoke-engine recovery-quick oracle-quick families-quick transport-quick soak-quick
+# The tier-1 gate: vet + build (the root module, then perfbench) +
+# tests, then the same tests under the race detector (the parallel
+# sweep executor must stay race-clean), then the engine-regression
+# smoke, the quick recovery sweep, the quick oracle sweep, the quick
+# family-registry gate, the real-transport multi-process smoke, and
+# the streaming chaos soak.
+verify: vet build perfbench-build test race smoke-engine recovery-quick oracle-quick families-quick transport-quick soak-quick

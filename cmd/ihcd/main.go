@@ -8,9 +8,10 @@
 //	ihcd -node 3 -m 3 -eta 2 -listen 127.0.0.1:4003 -peers book.json -epoch <unixnano>
 //
 // where book.json maps neighbor ids to dial addresses. The daemon runs
-// one ATA round, prints its RESULT verdict as JSON on stdout, then
-// keeps serving repair pulls until SIGTERM (exit 0) — a finished node
-// may be a straggler's only provider.
+// one ATA round — epoch 0 of a one-epoch stream, injecting its truth
+// payload — prints its RESULT verdict as JSON on stdout, then keeps
+// serving repair pulls until SIGTERM (exit 0) — a finished node may be
+// a straggler's only provider.
 //
 // Launch mode orchestrates a whole local cluster:
 //
@@ -109,8 +110,8 @@ func (w *watchdog) arm(d time.Duration, label string) {
 type result struct {
 	Node      int            `json:"node"`
 	OK        bool           `json:"ok"`
+	Completed bool           `json:"completed"` // the epoch reached the γ-copy postcondition
 	LedgerErr string         `json:"ledger_err,omitempty"`
-	Exhausted int            `json:"exhausted"`
 	Repaired  int            `json:"repaired"`
 	Naks      int            `json:"naks"`
 	Copies    map[int][]int  `json:"copies"` // source -> channels received
@@ -215,18 +216,25 @@ func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stag
 	}
 	defer ep.Close()
 
-	nd, err := transport.NewNode(transport.NodeConfig{
+	// One round is epoch 0 of a one-epoch stream. Its period spans the
+	// whole schedule: η stages, a full cycle of relay hops, and the
+	// deadline slack; a round still incomplete after it and the drain
+	// window fails.
+	nd, err := stream.NewNode(stream.Config{
 		IHC:         x,
 		Eta:         eta,
 		Self:        topology.Node(self),
 		Endpoint:    ep,
 		Keyring:     reliable.NewKeyring(x.N(), keySeed),
-		Epoch:       epoch,
+		Epoch0:      epoch,
+		Period:      time.Duration(eta)*stageDur + time.Duration(x.N())*hopLat + slack,
 		StageDur:    stageDur,
 		HopLatency:  hopLat,
 		Slack:       slack,
 		Retry:       transport.BackoffConfig{Base: 10 * time.Millisecond, Max: 150 * time.Millisecond, Factor: 1.6, Jitter: 0.2, Seed: seed*31 + int64(self) + 1},
 		MaxAttempts: maxAtt,
+		Epochs:      1,
+		Payload:     func(uint32) []byte { return reliable.TruthPayload(topology.Node(self)) },
 	})
 	if err != nil {
 		fail("%v", err)
@@ -243,12 +251,9 @@ func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stag
 	interrupted := runErr != nil && sigCtx.Err() != nil
 
 	out := result{
-		Node:      self,
-		OK:        runErr == nil && res.LedgerErr == nil && len(res.Exhausted) == 0,
-		Exhausted: len(res.Exhausted),
-		Repaired:  res.Repaired,
-		Naks:      res.NaksSent,
-		Copies:    make(map[int][]int),
+		Node:   self,
+		Naks:   res.NaksSent,
+		Copies: make(map[int][]int),
 		Stats: map[string]int{
 			"sent": int(res.Stats.Sent), "received": int(res.Stats.Received),
 			"send_errors": int(res.Stats.SendErrors), "reconnects": int(res.Stats.Reconnects),
@@ -256,17 +261,25 @@ func runDaemon(m, eta, self int, listen, peersPath string, epochNano int64, stag
 		},
 		Interrupt: interrupted,
 	}
-	if res.LedgerErr != nil {
-		out.LedgerErr = res.LedgerErr.Error()
-	}
-	for src, chans := range res.Copies {
-		cs := make([]int, len(chans))
-		for i, c := range chans {
-			cs[i] = int(c)
+	if len(res.Epochs) == 0 {
+		out.LedgerErr = "epoch 0 never closed"
+	} else {
+		er := res.Epochs[0]
+		out.Completed = er.Completed
+		out.Repaired = er.Repaired
+		if er.LedgerErr != nil {
+			out.LedgerErr = er.LedgerErr.Error()
 		}
-		sort.Ints(cs)
-		out.Copies[int(src)] = cs
+		for src, chans := range er.Copies {
+			cs := make([]int, len(chans))
+			for i, c := range chans {
+				cs[i] = int(c)
+			}
+			sort.Ints(cs)
+			out.Copies[int(src)] = cs
+		}
 	}
+	out.OK = runErr == nil && out.Completed && out.LedgerErr == ""
 	// The RESULT line is the machine-readable verdict the launcher
 	// scrapes; flush it even when interrupted so a dying campaign
 	// still reports partial state.
@@ -580,7 +593,14 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 	// Verdict: every survivor must report the exact γ-copy
 	// postcondition over all N sources — including the crashed node's
 	// messages, which were injected before the crash and repaired
-	// around it.
+	// around it. Fault-free, the wall-clock delivery multiset must also
+	// equal the discrete-event engine's on the same schedule.
+	var sim *simnet.CopyMatrix
+	if faultfree {
+		if sim, err = cluster.SimnetCopies(x, eta); err != nil {
+			fail("%v", err)
+		}
+	}
 	violations := 0
 	totalRepaired, totalNaks, totalReconnects := 0, 0, 0
 	for v, c := range children {
@@ -592,38 +612,23 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 		totalNaks += r.Naks
 		totalReconnects += r.Stats["reconnects"]
 		if !r.OK {
-			fmt.Fprintf(os.Stderr, "ihcd: node %d FAILED: ledger=%q exhausted=%d\n", v, r.LedgerErr, r.Exhausted)
+			fmt.Fprintf(os.Stderr, "ihcd: node %d FAILED: ledger=%q completed=%v\n", v, r.LedgerErr, r.Completed)
 			violations++
 			continue
 		}
-		if err := checkCopies(r, int(v), n, gamma); err != nil {
+		copies := make(map[topology.Node][]uint8, len(r.Copies))
+		for s, chans := range r.Copies {
+			for _, ch := range chans {
+				copies[topology.Node(s)] = append(copies[topology.Node(s)], uint8(ch))
+			}
+		}
+		if err := cluster.CheckDelivery(x, v, copies, sim); err != nil {
 			fmt.Fprintf(os.Stderr, "ihcd: node %d FAILED: %v\n", v, err)
 			violations++
 		}
 	}
-
-	// Fault-free acceptance: the wall-clock delivery multiset must
-	// equal the discrete-event engine's on the same schedule.
 	if faultfree && violations == 0 {
-		sim, err := x.Run(core.Config{Eta: eta, Params: simnet.Params{}.Defaulted()})
-		if err != nil {
-			fail("simnet reference: %v", err)
-		}
-		for v, c := range children {
-			for s := 0; s < n; s++ {
-				if int(v) == s {
-					continue
-				}
-				want := sim.Copies.Get(v, topology.Node(s))
-				if got := len(c.res.Copies[s]); got != want {
-					fmt.Fprintf(os.Stderr, "ihcd: node %d got %d copies from %d, simnet delivered %d\n", v, got, s, want)
-					violations++
-				}
-			}
-		}
-		if violations == 0 {
-			fmt.Printf("ihcd: wall-clock delivery multiset matches simnet (%d nodes × %d sources × γ=%d)\n", n, n-1, gamma)
-		}
+		fmt.Printf("ihcd: wall-clock delivery multiset matches simnet (%d nodes × %d sources × γ=%d)\n", n, n-1, gamma)
 	}
 
 	// Graceful shutdown: SIGTERM every survivor and require exit 0.
@@ -661,26 +666,6 @@ func runLaunch(m, eta int, faultfree bool, keySeed, seed int64, stageDur, hopLat
 		return 1
 	}
 	return 0
-}
-
-// checkCopies asserts one survivor's reported delivery multiset: for
-// every other source, exactly one copy per channel 0..γ-1.
-func checkCopies(r *result, self, n, gamma int) error {
-	for s := 0; s < n; s++ {
-		if s == self {
-			continue
-		}
-		chans := r.Copies[s]
-		if len(chans) != gamma {
-			return fmt.Errorf("%d copies from source %d, want γ=%d", len(chans), s, gamma)
-		}
-		for j := 0; j < gamma; j++ {
-			if chans[j] != j {
-				return fmt.Errorf("copies from source %d arrived on channels %v, want one per channel 0..%d", s, chans, gamma-1)
-			}
-		}
-	}
-	return nil
 }
 
 func keys(m map[topology.Node]bool) []int {

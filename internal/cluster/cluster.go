@@ -1,24 +1,20 @@
 // Package cluster spins up a full IHC broadcast cluster — one
-// transport.Node per network node — over either the in-process
-// loopback mesh or real TCP sockets, optionally behind the chaos
-// layer, runs one complete ATA round, and renders the per-survivor
-// γ-copy verdicts. It is the harness behind the transport tests and
-// `make transport-quick`, and the library `cmd/ihcd -launch` drives
-// for the multi-process variant.
+// stream.Node per network node — over either the in-process loopback
+// mesh or real TCP sockets, optionally behind the chaos layer, runs a
+// stream of ATA epochs, and renders the per-node γ-copy verdicts. A
+// one-shot round is a one-epoch stream. It is the harness behind the
+// transport and streaming tests, `ihcd -soak` and the benchmark's
+// stream workload; its delivery-multiset checker is shared with the
+// multi-process `cmd/ihcd -launch`.
 package cluster
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"ihc/internal/chaos"
 	"ihc/internal/core"
-	"ihc/internal/hlc"
-	"ihc/internal/reliable"
 	"ihc/internal/simnet"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
@@ -46,7 +42,7 @@ type Config struct {
 	Retry       transport.BackoffConfig
 	Breaker     transport.BreakerConfig
 	MaxAttempts int
-	// Timeout bounds the whole round. Default 30s.
+	// Timeout bounds the whole run. Default 30s.
 	Timeout time.Duration
 	// SetupDelay is how far in the future the cluster epoch (stage-0
 	// start) is placed, leaving construction time. Default 100ms.
@@ -72,238 +68,6 @@ func (c Config) defaulted() Config {
 	return c
 }
 
-// Result is one cluster run's outcome.
-type Result struct {
-	Epoch   time.Time
-	Gamma   int
-	Nodes   map[topology.Node]*transport.NodeResult // survivors only
-	Crashed []topology.Node
-	// RunErrs records per-node transport/context errors (crashed
-	// nodes' context cancellations excluded).
-	RunErrs map[topology.Node]error
-}
-
-// Verify renders the cluster verdict: every surviving node's ledger
-// must show the exact γ-copy postcondition, with no exhausted repairs.
-func (r *Result) Verify() error {
-	if len(r.Nodes) == 0 {
-		return fmt.Errorf("cluster: no surviving nodes")
-	}
-	for v, nr := range r.Nodes {
-		if len(nr.Exhausted) > 0 {
-			return fmt.Errorf("cluster: node %d gave up on %d copies (first: source %d channel %d)",
-				v, len(nr.Exhausted), nr.Exhausted[0].Source, nr.Exhausted[0].Channel)
-		}
-		if nr.LedgerErr != nil {
-			return fmt.Errorf("cluster: node %d ledger: %w", v, nr.LedgerErr)
-		}
-	}
-	return nil
-}
-
-// Repaired sums the copies that arrived via the repair path across
-// survivors.
-func (r *Result) Repaired() int {
-	total := 0
-	for _, nr := range r.Nodes {
-		total += nr.Repaired
-	}
-	return total
-}
-
-// Run executes one full ATA round and returns the per-node results.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.defaulted()
-	if cfg.IHC == nil {
-		return nil, fmt.Errorf("cluster: config needs an IHC schedule")
-	}
-	g := cfg.IHC.Graph()
-	n := g.N()
-	keyring := reliable.NewKeyring(n, cfg.KeySeed)
-	epoch := time.Now().Add(cfg.SetupDelay)
-
-	var plan *chaos.Plan
-	crashes := map[topology.Node]time.Duration{}
-	if cfg.Chaos != nil {
-		cc := *cfg.Chaos
-		cc.Graph = g
-		cc.Epoch = epoch
-		var err error
-		plan, err = chaos.NewPlan(cc)
-		if err != nil {
-			return nil, err
-		}
-		crashes = plan.Crashes()
-	}
-
-	endpoints := make(map[topology.Node]transport.Endpoint, n)
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
-
-	if cfg.TCP {
-		// Pre-bind every listener so the address book (and the proxy
-		// mesh in front of it) exists before any node starts.
-		listeners := make(map[topology.Node]net.Listener, n)
-		realAddrs := make(map[topology.Node]string, n)
-		for v := 0; v < n; v++ {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, fmt.Errorf("cluster: bind node %d: %w", v, err)
-			}
-			listeners[topology.Node(v)] = ln
-			realAddrs[topology.Node(v)] = ln.Addr().String()
-		}
-		peerAddrs := func(v topology.Node) map[topology.Node]string {
-			out := make(map[topology.Node]string)
-			for _, nb := range g.Neighbors(v) {
-				out[nb] = realAddrs[nb]
-			}
-			return out
-		}
-		if plan != nil {
-			pm, err := chaos.NewProxyMesh(plan, realAddrs)
-			if err != nil {
-				for _, ln := range listeners {
-					ln.Close()
-				}
-				return nil, err
-			}
-			closers = append(closers, func() { pm.Close() })
-			peerAddrs = pm.Addrs
-		}
-		for v := 0; v < n; v++ {
-			node := topology.Node(v)
-			ep, err := transport.NewTCP(transport.TCPConfig{
-				Self:     node,
-				Graph:    g,
-				Listener: listeners[node],
-				Peers:    peerAddrs(node),
-				Dial:     cfg.Retry,
-				Breaker:  cfg.Breaker,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("cluster: node %d endpoint: %w", v, err)
-			}
-			endpoints[node] = ep
-			closers = append(closers, func() { ep.Close() })
-		}
-	} else {
-		lbCfg := transport.LoopbackConfig{Graph: g, Latency: cfg.HopLatency, Epoch: epoch}
-		if plan != nil {
-			lbCfg.Filter = plan
-		}
-		lb, err := transport.NewLoopback(lbCfg)
-		if err != nil {
-			return nil, err
-		}
-		closers = append(closers, func() { lb.Close() })
-		for v := 0; v < n; v++ {
-			ep, err := lb.Endpoint(topology.Node(v))
-			if err != nil {
-				return nil, err
-			}
-			endpoints[topology.Node(v)] = ep
-		}
-	}
-
-	runCtx, cancelAll := context.WithTimeout(ctx, cfg.Timeout)
-	defer cancelAll()
-	serveCtx, stopServing := context.WithCancel(context.Background())
-	defer stopServing()
-
-	type outcome struct {
-		node topology.Node
-		res  *transport.NodeResult
-		err  error
-	}
-	results := make(chan outcome, n)
-	var wg sync.WaitGroup
-	cancels := make(map[topology.Node]func(), n)
-
-	for v := 0; v < n; v++ {
-		node := topology.Node(v)
-		nd, err := transport.NewNode(transport.NodeConfig{
-			IHC:         cfg.IHC,
-			Eta:         cfg.Eta,
-			Self:        node,
-			Endpoint:    endpoints[node],
-			Keyring:     keyring,
-			Epoch:       epoch,
-			StageDur:    cfg.StageDur,
-			HopLatency:  cfg.HopLatency,
-			Slack:       cfg.Slack,
-			Retry:       seededFor(cfg.Retry, node),
-			MaxAttempts: cfg.MaxAttempts,
-			Clock:       hlc.New(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", v, err)
-		}
-		nodeCtx, cancelRun := context.WithCancel(runCtx)
-		nodeServeCtx, cancelServe := context.WithCancel(serveCtx)
-		// A crash must silence the node completely: stop its run loop
-		// AND its post-run pull service.
-		cancels[node] = func() { cancelRun(); cancelServe() }
-		wg.Add(1)
-		go func() {
-			defer cancelRun()
-			defer cancelServe()
-			defer wg.Done()
-			res, err := nd.Run(nodeCtx)
-			results <- outcome{node: node, res: res, err: err}
-			// Keep answering pulls: a finished (or even a partially
-			// failed) node may be a straggler's only provider.
-			nd.Serve(nodeServeCtx)
-		}()
-	}
-
-	// Schedule the plan's crashes: cancel the node and kill its
-	// endpoint so peers see real connection resets, not a polite exit.
-	for v, at := range crashes {
-		v, at := v, at
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case <-runCtx.Done():
-				return
-			case <-time.After(time.Until(epoch.Add(at))):
-			}
-			cancels[v]()
-			endpoints[v].Close()
-		}()
-	}
-
-	res := &Result{
-		Epoch:   epoch,
-		Gamma:   cfg.IHC.Gamma(),
-		Nodes:   make(map[topology.Node]*transport.NodeResult),
-		RunErrs: make(map[topology.Node]error),
-	}
-	for range cancels {
-		oc := <-results
-		if _, crashed := crashes[oc.node]; crashed {
-			res.Crashed = append(res.Crashed, oc.node)
-			continue
-		}
-		if oc.res != nil {
-			res.Nodes[oc.node] = oc.res
-		}
-		if oc.err != nil {
-			res.RunErrs[oc.node] = oc.err
-		}
-	}
-	sort.Slice(res.Crashed, func(i, j int) bool { return res.Crashed[i] < res.Crashed[j] })
-	stopServing()
-	cancelAll()
-	wg.Wait()
-	return res, nil
-}
-
 // seededFor decorrelates per-node retry jitter while keeping the whole
 // cluster deterministic under one seed.
 func seededFor(b transport.BackoffConfig, v topology.Node) transport.BackoffConfig {
@@ -313,41 +77,65 @@ func seededFor(b transport.BackoffConfig, v topology.Node) transport.BackoffConf
 	return b
 }
 
-// CompareWithSimnet checks the wall-clock run's delivery multiset
-// against the discrete-event engine's on the same schedule: for every
-// surviving receiver r and source s, the set of channels r's copies of
-// s arrived on must equal {0..γ-1} with the per-(r,s) count the
-// engine's CopyMatrix records. This is the acceptance bridge between
-// the two transports — same topology, same schedule, same multiset.
-func CompareWithSimnet(cfg Config, res *Result) error {
-	sim, err := cfg.IHC.Run(core.Config{Eta: cfg.Eta, Params: simnet.Params{}.Defaulted()})
+// SimnetCopies runs the discrete-event engine on x's schedule at η and
+// returns its copy matrix — the reference a wall-clock delivery
+// multiset is compared against.
+func SimnetCopies(x *core.IHC, eta int) (*simnet.CopyMatrix, error) {
+	sim, err := x.Run(core.Config{Eta: eta, Params: simnet.Params{}.Defaulted()})
 	if err != nil {
-		return fmt.Errorf("cluster: simnet reference run: %w", err)
+		return nil, fmt.Errorf("cluster: simnet reference run: %w", err)
 	}
 	if sim.Copies == nil {
-		return fmt.Errorf("cluster: simnet reference run recorded no copy matrix")
+		return nil, fmt.Errorf("cluster: simnet reference run recorded no copy matrix")
 	}
-	n := cfg.IHC.N()
-	gamma := cfg.IHC.Gamma()
-	for r, nr := range res.Nodes {
-		for s := 0; s < n; s++ {
-			src := topology.Node(s)
-			if src == r {
-				continue
-			}
-			chans := append([]uint8(nil), nr.Copies[src]...)
-			want := sim.Copies.Get(r, src)
-			if len(chans) != want {
+	return sim.Copies, nil
+}
+
+// CheckDelivery checks receiver r's delivery multiset — copies[s]
+// lists the channels r's copies of source s arrived on: from every
+// other source exactly one copy per channel 0..γ-1, and, when sim is
+// non-nil, as many copies as the engine's CopyMatrix records for
+// (r, s).
+func CheckDelivery(x *core.IHC, r topology.Node, copies map[topology.Node][]uint8, sim *simnet.CopyMatrix) error {
+	gamma := x.Gamma()
+	for s := 0; s < x.N(); s++ {
+		src := topology.Node(s)
+		if src == r {
+			continue
+		}
+		chans := append([]uint8(nil), copies[src]...)
+		if sim != nil {
+			if want := sim.Get(r, src); len(chans) != want {
 				return fmt.Errorf("cluster: node %d holds %d copies from source %d, simnet delivered %d", r, len(chans), s, want)
 			}
-			sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
-			if len(chans) != gamma {
-				return fmt.Errorf("cluster: node %d holds %d copies from source %d, want γ=%d", r, len(chans), s, gamma)
+		}
+		if len(chans) != gamma {
+			return fmt.Errorf("cluster: node %d holds %d copies from source %d, want γ=%d", r, len(chans), s, gamma)
+		}
+		sort.Slice(chans, func(i, j int) bool { return chans[i] < chans[j] })
+		for j := 0; j < gamma; j++ {
+			if int(chans[j]) != j {
+				return fmt.Errorf("cluster: node %d's copies from source %d arrived on channels %v, want one per channel 0..%d", r, s, chans, gamma-1)
 			}
-			for j := 0; j < gamma; j++ {
-				if int(chans[j]) != j {
-					return fmt.Errorf("cluster: node %d's copies from source %d arrived on channels %v, want one per channel 0..%d", r, s, chans, gamma-1)
-				}
+		}
+	}
+	return nil
+}
+
+// CompareWithSimnet checks every epoch of a wall-clock run against the
+// discrete-event engine on the same schedule: each node's per-epoch
+// delivery multiset must pass CheckDelivery with the engine's
+// CopyMatrix. This is the acceptance bridge between the two transports
+// — same topology, same schedule, same multiset.
+func CompareWithSimnet(cfg Config, res *StreamResult) error {
+	sim, err := SimnetCopies(cfg.IHC, cfg.Eta)
+	if err != nil {
+		return err
+	}
+	for _, results := range res.PerNode {
+		for _, er := range results {
+			if err := CheckDelivery(cfg.IHC, er.Node, er.Copies, sim); err != nil {
+				return fmt.Errorf("epoch %d: %w", er.Epoch, err)
 			}
 		}
 	}

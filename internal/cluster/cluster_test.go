@@ -9,6 +9,7 @@ import (
 	"ihc/internal/core"
 	"ihc/internal/fault"
 	"ihc/internal/hamilton"
+	"ihc/internal/reliable"
 	"ihc/internal/topology"
 	"ihc/internal/transport"
 )
@@ -40,20 +41,31 @@ func quickTiming(cfg Config) Config {
 	return cfg
 }
 
+// truthPayload makes every node inject its one-shot truth payload.
+func truthPayload(v topology.Node, _ uint32) []byte { return reliable.TruthPayload(v) }
+
+// oneShot runs cfg as a one-shot ATA round: epoch 0 of a one-epoch
+// stream.
+func oneShot(t *testing.T, cfg Config) *StreamResult {
+	t.Helper()
+	res, err := RunStream(context.Background(), StreamConfig{Config: cfg, Epochs: 1, Payload: truthPayload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestLoopbackFaultFree runs a fault-free Q3 ATA round over the
 // in-process mesh and checks both the per-node γ-copy ledgers and the
 // delivery-multiset equivalence against the discrete-event engine.
 func TestLoopbackFaultFree(t *testing.T) {
 	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7})
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := oneShot(t, cfg)
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Nodes) != 8 {
-		t.Fatalf("got %d survivors, want 8", len(res.Nodes))
+	if len(res.PerNode) != 8 {
+		t.Fatalf("got %d survivors, want 8", len(res.PerNode))
 	}
 	if err := CompareWithSimnet(cfg, res); err != nil {
 		t.Fatal(err)
@@ -63,10 +75,7 @@ func TestLoopbackFaultFree(t *testing.T) {
 // TestTCPFaultFree is the same round over real sockets.
 func TestTCPFaultFree(t *testing.T) {
 	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7, TCP: true})
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := oneShot(t, cfg)
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +115,12 @@ func chaosQuick(stageDur time.Duration) *chaos.Config {
 func TestLoopbackChaos(t *testing.T) {
 	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7})
 	cfg.Chaos = chaosQuick(cfg.StageDur)
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := oneShot(t, cfg)
 	if len(res.Crashed) != 1 || res.Crashed[0] != 6 {
 		t.Fatalf("crashed = %v, want [6]", res.Crashed)
 	}
-	if len(res.Nodes) != 7 {
-		t.Fatalf("got %d survivors, want 7", len(res.Nodes))
+	if len(res.PerNode) != 7 {
+		t.Fatalf("got %d survivors, want 7", len(res.PerNode))
 	}
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
@@ -126,14 +132,40 @@ func TestLoopbackChaos(t *testing.T) {
 func TestTCPChaos(t *testing.T) {
 	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7, TCP: true})
 	cfg.Chaos = chaosQuick(cfg.StageDur)
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Nodes) != 7 {
-		t.Fatalf("got %d survivors, want 7", len(res.Nodes))
+	res := oneShot(t, cfg)
+	if len(res.PerNode) != 7 {
+		t.Fatalf("got %d survivors, want 7", len(res.PerNode))
 	}
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyFailsOnIsolatedNode is the verdict's failure path: every
+// link of node 5 is partitioned for the whole round (no crash, so node
+// 5 still reports), so nobody can complete it. Verify must reject the
+// run, and node 5's only verdict must be a failed epoch 0.
+func TestVerifyFailsOnIsolatedNode(t *testing.T) {
+	cfg := quickTiming(Config{IHC: q3(t), Eta: 2, KeySeed: 7})
+	cfg.MaxAttempts = 2
+	var cut []fault.LinkFault
+	for _, nb := range cfg.IHC.Graph().Neighbors(5) {
+		cut = append(cut, fault.LinkFault{U: 5, V: nb, Until: fault.Forever})
+	}
+	cfg.Chaos = &chaos.Config{Plan: &fault.TemporalPlan{Links: cut}}
+	res, err := RunStream(context.Background(), StreamConfig{
+		Config: cfg, Epochs: 1, Drain: 200 * time.Millisecond, Payload: truthPayload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Crashed) != 0 || len(res.PerNode) != 8 {
+		t.Fatalf("crashed %v, %d nodes reporting; want none crashed, 8 reporting", res.Crashed, len(res.PerNode))
+	}
+	if err := res.Verify(); err == nil {
+		t.Fatal("Verify accepted a round in which node 5 was cut off")
+	}
+	if got := res.PerNode[5]; len(got) != 1 || got[0].Epoch != 0 || got[0].Completed {
+		t.Fatalf("node 5 verdicts %+v, want one failed epoch 0", got)
 	}
 }

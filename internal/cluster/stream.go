@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"sort"
 	"sync"
 	"time"
@@ -16,17 +17,18 @@ import (
 	"ihc/internal/transport"
 )
 
-// This file is the streaming counterpart of Run: a full cluster of
-// stream.Nodes over the loopback mesh, each fed by a synthetic client
-// load, with the soak harness's fault script — a mid-stream kill and
-// restart of one node (the rejoin path under test) and whatever link
-// chaos the plan carries — executed against it. The kill is as close
-// to SIGKILL as an in-process cluster gets: the node's context is
-// cancelled with zero notice and every frame addressed to it during
-// the downtime is read off the wire and discarded, exactly what a dead
-// process's kernel does to its sockets. The restart hands the same
-// endpoint to a brand-new stream.Node with no state but the keyring —
-// it must rediscover the epoch via the JOIN handshake and catch up.
+// This file is the cluster runner: a full cluster of stream.Nodes over
+// the loopback mesh or real TCP sockets, each optionally fed by a
+// synthetic client load, with the fault script executed against it —
+// the chaos plan's link faults and permanent node crashes, and a
+// mid-stream kill and restart of one node (the rejoin path under test).
+// The kill is as close to SIGKILL as an in-process cluster gets: the
+// node's context is cancelled with zero notice and every frame
+// addressed to it during the downtime is read off the wire and
+// discarded, exactly what a dead process's kernel does to its sockets.
+// The restart hands the same endpoint to a brand-new stream.Node with
+// no state but the keyring — it must rediscover the epoch via the JOIN
+// handshake and catch up.
 
 // KillSpec schedules the mid-stream kill of one node.
 type KillSpec struct {
@@ -47,10 +49,9 @@ type LoadSpec struct {
 	HighEvery int
 }
 
-// StreamConfig shapes one streaming cluster run. The embedded Config
-// supplies topology, keys, per-round timing, retry shape, and the
-// chaos plan; TCP must be false (the kill/restart choreography is
-// loopback-only — the multi-process variant is cmd/ihcd's job).
+// StreamConfig shapes one cluster run. The embedded Config supplies
+// topology, keys, mesh, per-round timing, retry shape, and the chaos
+// plan. A one-shot round is Epochs: 1 with Payload set.
 type StreamConfig struct {
 	Config
 	// Epochs to stream; Period between epoch starts; MaxInflight
@@ -65,10 +66,13 @@ type StreamConfig struct {
 	// disables the generators (only heartbeat batches flow).
 	Ingress stream.IngressConfig
 	Load    LoadSpec
-	// Kill, when non-nil, schedules the mid-stream kill/restart.
+	// Kill, when non-nil, schedules the mid-stream kill/restart. It
+	// needs the loopback mesh (TCP false); the multi-process variant is
+	// cmd/ihcd's job.
 	Kill *KillSpec
 	// Payload, when non-nil, bypasses ingress on every node — node v's
-	// epoch-e injection is Payload(v, e). The equivalence tests use it.
+	// epoch-e injection is Payload(v, e). One-shot rounds inject
+	// reliable.TruthPayload(v).
 	Payload func(v topology.Node, epoch uint32) []byte
 	// Gauges aggregates cluster-wide streaming metrics (shared sink).
 	Gauges *observe.StreamGauges
@@ -96,7 +100,7 @@ func (c StreamConfig) defaulted() StreamConfig {
 	return c
 }
 
-// StreamResult is one streaming cluster run's outcome.
+// StreamResult is one cluster run's outcome.
 type StreamResult struct {
 	Epoch0 time.Time
 	Epochs int
@@ -105,6 +109,9 @@ type StreamResult struct {
 	// PerNode merges each node's epoch verdicts across its lifetimes
 	// (the killed node has two: pre-kill and post-rejoin).
 	PerNode map[topology.Node][]stream.EpochResult
+	// Crashed lists, ascending, the nodes the chaos plan crashed for
+	// good; PerNode, RunErrs and Verify leave them out.
+	Crashed []topology.Node
 	RunErrs map[topology.Node]error
 	// NaksSent sums pulls across all nodes and lifetimes.
 	NaksSent int
@@ -159,36 +166,38 @@ func (r *StreamResult) Verify() error {
 	return nil
 }
 
-// RunStream executes one streaming cluster run over the loopback mesh.
+// RunStream executes one cluster run.
 func RunStream(ctx context.Context, cfg StreamConfig) (*StreamResult, error) {
 	cfg = cfg.defaulted()
 	if cfg.IHC == nil {
 		return nil, fmt.Errorf("stream: config needs an IHC schedule")
 	}
-	if cfg.TCP {
-		return nil, fmt.Errorf("stream: RunStream is loopback-only")
+	if cfg.TCP && cfg.Kill != nil {
+		return nil, fmt.Errorf("stream: the kill/restart script is loopback-only")
 	}
 	g := cfg.IHC.Graph()
 	n := g.N()
 	keyring := reliable.NewKeyring(n, cfg.KeySeed)
 	epoch0 := time.Now().Add(cfg.SetupDelay)
 
-	lbCfg := transport.LoopbackConfig{Graph: g, Latency: cfg.HopLatency, Epoch: epoch0}
+	var plan *chaos.Plan
+	crashes := map[topology.Node]time.Duration{}
 	if cfg.Chaos != nil {
 		cc := *cfg.Chaos
 		cc.Graph = g
 		cc.Epoch = epoch0
-		plan, err := chaos.NewPlan(cc)
+		var err error
+		plan, err = chaos.NewPlan(cc)
 		if err != nil {
 			return nil, err
 		}
-		lbCfg.Filter = plan
+		crashes = plan.Crashes()
 	}
-	lb, err := transport.NewLoopback(lbCfg)
+	endpoints, release, err := openEndpoints(cfg.Config, plan, epoch0)
 	if err != nil {
 		return nil, err
 	}
-	defer lb.Close()
+	defer release()
 
 	runCtx, cancelAll := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancelAll()
@@ -265,27 +274,28 @@ func RunStream(ctx context.Context, cfg StreamConfig) (*StreamResult, error) {
 	}
 
 	expect := n
+	// stop silences one node completely: its run loop AND its post-run
+	// pull service.
+	stop := make(map[topology.Node]func(), n)
 	var killCancel context.CancelFunc
 	for v := 0; v < n; v++ {
 		node := topology.Node(v)
-		ep, err := lb.Endpoint(node)
-		if err != nil {
-			return nil, err
-		}
-		nd, err := stream.NewNode(nodeCfg(node, ep, false))
+		nd, err := stream.NewNode(nodeCfg(node, endpoints[node], false))
 		if err != nil {
 			return nil, fmt.Errorf("stream: node %d: %w", v, err)
 		}
-		nodeCtx := runCtx
-		if cfg.Kill != nil && cfg.Kill.Node == node {
-			var cancel context.CancelFunc
-			nodeCtx, cancel = context.WithCancel(runCtx)
-			killCancel = cancel
-		}
+		nodeCtx, cancelRun := context.WithCancel(runCtx)
+		nodeServeCtx, cancelServe := context.WithCancel(serveCtx)
+		stop[node] = func() { cancelRun(); cancelServe() }
 		victim := cfg.Kill != nil && cfg.Kill.Node == node
+		if victim {
+			killCancel = cancelRun
+		}
 		startLoad(nd)
 		wg.Add(1)
 		go func() {
+			defer cancelRun()
+			defer cancelServe()
 			defer wg.Done()
 			res, err := nd.Run(nodeCtx)
 			results <- outcome{node: node, res: res, err: err}
@@ -293,8 +303,25 @@ func RunStream(ctx context.Context, cfg StreamConfig) (*StreamResult, error) {
 			// straggler's only provider. The victim's first lifetime
 			// must NOT serve — dead is dead; its restart takes over.
 			if !victim {
-				nd.Serve(serveCtx)
+				nd.Serve(nodeServeCtx)
 			}
+		}()
+	}
+
+	// Schedule the plan's crashes: silence the node and kill its
+	// endpoint so peers see real connection resets, not a polite exit.
+	for v, at := range crashes {
+		v, at := v, at
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case <-runCtx.Done():
+				return
+			case <-time.After(time.Until(epoch0.Add(at))):
+			}
+			stop[v]()
+			endpoints[v].Close()
 		}()
 	}
 
@@ -314,7 +341,7 @@ func RunStream(ctx context.Context, cfg StreamConfig) (*StreamResult, error) {
 			// A dead process's kernel discards everything addressed to
 			// it; the loopback analogue is draining the inbox on the
 			// floor for the whole downtime.
-			ep, _ := lb.Endpoint(ks.Node)
+			ep := endpoints[ks.Node]
 			downUntil := time.After(ks.Downtime)
 		drain:
 			for {
@@ -351,6 +378,10 @@ func RunStream(ctx context.Context, cfg StreamConfig) (*StreamResult, error) {
 	}
 	for i := 0; i < expect; i++ {
 		oc := <-results
+		if _, crashed := crashes[oc.node]; crashed {
+			out.Crashed = append(out.Crashed, oc.node)
+			continue
+		}
 		if oc.res != nil {
 			out.PerNode[oc.node] = append(out.PerNode[oc.node], oc.res.Epochs...)
 			out.NaksSent += oc.res.NaksSent
@@ -365,9 +396,94 @@ func RunStream(ctx context.Context, cfg StreamConfig) (*StreamResult, error) {
 	stopServing()
 	cancelAll()
 	wg.Wait()
+	sort.Slice(out.Crashed, func(i, j int) bool { return out.Crashed[i] < out.Crashed[j] })
 	for v := range out.PerNode {
 		sort.Slice(out.PerNode[v], func(i, j int) bool { return out.PerNode[v][i].Epoch < out.PerNode[v][j].Epoch })
 	}
 	out.Snapshot = cfg.Gauges.Snapshot()
 	return out, nil
+}
+
+// openEndpoints attaches every node to the mesh cfg selects, behind the
+// chaos plan when one is given. TCP pre-binds every listener so the
+// address book (and the proxy mesh in front of it) exists before any
+// node starts. release closes everything, newest first.
+func openEndpoints(cfg Config, plan *chaos.Plan, epoch0 time.Time) (map[topology.Node]transport.Endpoint, func(), error) {
+	g := cfg.IHC.Graph()
+	n := g.N()
+	endpoints := make(map[topology.Node]transport.Endpoint, n)
+	var closers []func()
+	release := func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}
+	fail := func(err error) (map[topology.Node]transport.Endpoint, func(), error) {
+		release()
+		return nil, nil, err
+	}
+
+	if !cfg.TCP {
+		lbCfg := transport.LoopbackConfig{Graph: g, Latency: cfg.HopLatency, Epoch: epoch0}
+		if plan != nil {
+			lbCfg.Filter = plan
+		}
+		lb, err := transport.NewLoopback(lbCfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		closers = append(closers, func() { lb.Close() })
+		for v := 0; v < n; v++ {
+			ep, err := lb.Endpoint(topology.Node(v))
+			if err != nil {
+				return fail(err)
+			}
+			endpoints[topology.Node(v)] = ep
+		}
+		return endpoints, release, nil
+	}
+
+	listeners := make(map[topology.Node]net.Listener, n)
+	realAddrs := make(map[topology.Node]string, n)
+	for v := 0; v < n; v++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return fail(fmt.Errorf("cluster: bind node %d: %w", v, err))
+		}
+		closers = append(closers, func() { ln.Close() })
+		listeners[topology.Node(v)] = ln
+		realAddrs[topology.Node(v)] = ln.Addr().String()
+	}
+	peerAddrs := func(v topology.Node) map[topology.Node]string {
+		out := make(map[topology.Node]string)
+		for _, nb := range g.Neighbors(v) {
+			out[nb] = realAddrs[nb]
+		}
+		return out
+	}
+	if plan != nil {
+		pm, err := chaos.NewProxyMesh(plan, realAddrs)
+		if err != nil {
+			return fail(err)
+		}
+		closers = append(closers, func() { pm.Close() })
+		peerAddrs = pm.Addrs
+	}
+	for v := 0; v < n; v++ {
+		node := topology.Node(v)
+		ep, err := transport.NewTCP(transport.TCPConfig{
+			Self:     node,
+			Graph:    g,
+			Listener: listeners[node],
+			Peers:    peerAddrs(node),
+			Dial:     cfg.Retry,
+			Breaker:  cfg.Breaker,
+		})
+		if err != nil {
+			return fail(fmt.Errorf("cluster: node %d endpoint: %w", v, err))
+		}
+		endpoints[node] = ep
+		closers = append(closers, func() { ep.Close() })
+	}
+	return endpoints, release, nil
 }

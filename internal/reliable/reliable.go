@@ -56,9 +56,9 @@ func (kr *Keyring) N() int { return len(kr.keys) }
 // message used to panic with a bare index error deep inside HMAC setup;
 // it now surfaces as a diagnosable error, which matters once messages can
 // arrive from a simulated Byzantine sender claiming an arbitrary source.
-func (kr *Keyring) checkSource(msg Message) error {
-	if msg.Source < 0 || int(msg.Source) >= len(kr.keys) {
-		return fmt.Errorf("reliable: message claims source %d, keyring holds keys for nodes [0,%d)", msg.Source, len(kr.keys))
+func (kr *Keyring) checkSource(src topology.Node) error {
+	if src < 0 || int(src) >= len(kr.keys) {
+		return fmt.Errorf("reliable: message claims source %d, keyring holds keys for nodes [0,%d)", src, len(kr.keys))
 	}
 	return nil
 }
@@ -66,28 +66,40 @@ func (kr *Keyring) checkSource(msg Message) error {
 // Sign returns msg with its MAC filled in under the source's key, or an
 // error when the keyring has no key for the claimed source.
 func (kr *Keyring) Sign(msg Message) (Message, error) {
-	if err := kr.checkSource(msg); err != nil {
+	mac, err := kr.MAC(msg.Source, msg.Payload)
+	if err != nil {
 		return Message{}, err
 	}
-	mac := hmac.New(sha256.New, kr.keys[msg.Source])
-	mac.Write(msg.Payload)
-	msg.MAC = mac.Sum(nil)
+	msg.MAC = mac
 	return msg, nil
+}
+
+// MAC returns the HMAC of data under src's key, or an error when the
+// keyring has no key for src.
+func (kr *Keyring) MAC(src topology.Node, data []byte) ([]byte, error) {
+	if err := kr.checkSource(src); err != nil {
+		return nil, err
+	}
+	mac := hmac.New(sha256.New, kr.keys[src])
+	mac.Write(data)
+	return mac.Sum(nil), nil
 }
 
 // Verify reports whether msg's MAC is valid under its claimed source's
 // key. A source outside the keyring is an error, not merely an invalid
 // signature: the caller sent a structurally malformed message.
 func (kr *Keyring) Verify(msg Message) (bool, error) {
-	if err := kr.checkSource(msg); err != nil {
+	return kr.CheckMAC(msg.Source, msg.Payload, msg.MAC)
+}
+
+// CheckMAC reports whether mac is valid for data under src's key; a nil
+// mac is invalid, a src outside the keyring an error.
+func (kr *Keyring) CheckMAC(src topology.Node, data, mac []byte) (bool, error) {
+	want, err := kr.MAC(src, data)
+	if err != nil || mac == nil {
 		return false, err
 	}
-	if msg.MAC == nil {
-		return false, nil
-	}
-	mac := hmac.New(sha256.New, kr.keys[msg.Source])
-	mac.Write(msg.Payload)
-	return hmac.Equal(mac.Sum(nil), msg.MAC), nil
+	return hmac.Equal(want, mac), nil
 }
 
 // DolevBound returns the maximum number of Byzantine nodes tolerable for

@@ -1,9 +1,10 @@
-// Package stream turns the one-shot wall-clock ATA round into a
-// continuous broadcast service: an unbounded sequence of epochs, each
-// one full IHC all-to-all round, pipelined back-to-back into the η−μ
-// link slack the interleaving schedule leaves idle. Every epoch is
-// HLC-stamped, at most MaxInflight rounds overlap (opening is deferred
-// — backpressure — when the cap is hit), and each node's injection
+// Package stream is the IHC protocol node on the wire. It runs the
+// broadcast as a continuous service: a sequence of epochs, each one
+// full IHC all-to-all round on wall clocks (a one-shot round is a
+// one-epoch stream), pipelined back-to-back into the η−μ link slack
+// the interleaving schedule leaves idle. Every epoch is HLC-stamped,
+// at most MaxInflight rounds overlap (opening is deferred —
+// backpressure — when the cap is hit), and each node's injection
 // payload is an epoch batch multiplexing many client payloads from a
 // bounded two-class ingress queue with token-bucket admission; under
 // overload low-priority payloads are shed with an explicit ErrShed.
@@ -12,9 +13,9 @@
 // restarts with no state, learns the current epoch from any peer —
 // an explicit JOIN→EPOCH handshake, or passively from the epoch field
 // of any signed frame — then catches up the rounds it missed through
-// the same wall-clock NAK/pull planner the one-shot protocol repairs
-// with, while late-injecting its own copies for those rounds so that
-// the survivors' stalled epochs complete too. Every completed epoch
+// the same wall-clock NAK/pull planner every round repairs with,
+// while late-injecting its own copies for those rounds so that the
+// survivors' stalled epochs complete too. Every completed epoch
 // satisfies the exact γ-copy ledger postcondition, kill or no kill.
 package stream
 
@@ -48,14 +49,16 @@ type Config struct {
 	// shorter than a full round (stages + relay + repair tail): up to
 	// MaxInflight rounds overlap in the η−μ link slack.
 	Period time.Duration
-	// StageDur / HopLatency / Slack are the per-round timing model,
-	// exactly as in the one-shot transport.NodeConfig.
+	// StageDur / HopLatency / Slack are the per-round timing model:
+	// stage k of an epoch starts k·StageDur after the epoch opens, and
+	// a copy h hops from its source is pulled once its stage start +
+	// h·HopLatency + Slack has passed.
 	StageDur   time.Duration
 	HopLatency time.Duration
 	Slack      time.Duration
 	// Retry shapes pull backoff; MaxAttempts bounds pulls per missing
-	// copy. Streaming defaults are more patient than one-shot (the
-	// provider may be a killed node that has not rejoined yet).
+	// copy. The default is patient: the provider may be a killed node
+	// that has not rejoined yet.
 	Retry       transport.BackoffConfig
 	MaxAttempts int
 	// MaxInflight caps concurrently open (live, non-stalled) epochs;
@@ -79,15 +82,15 @@ type Config struct {
 	// Ingress shapes client-payload admission.
 	Ingress IngressConfig
 	// Payload, when set, bypasses the ingress/mux path: epoch e's
-	// injection payload is exactly Payload(e). The equivalence tests
-	// use it to pin streaming against repeated one-shot rounds.
+	// injection payload is exactly Payload(e). One-shot rounds use it
+	// to inject the node's truth payload.
 	Payload func(epoch uint32) []byte
 	// Clock is the node's HLC; fresh if nil. Gauges may be shared by
 	// the whole cluster (atomic deltas); nil is a no-op sink.
 	Gauges *observe.StreamGauges
 	Clock  *hlc.Clock
 	// CollectPayloads retains delivered payload bytes in EpochResults
-	// (tests); CollectCopies retains per-source channel sets.
+	// (tests and the benchmark's delivery check).
 	CollectPayloads bool
 }
 

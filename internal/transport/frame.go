@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"ihc/internal/hlc"
-	"ihc/internal/reliable"
 	"ihc/internal/topology"
 )
 
@@ -203,13 +202,21 @@ func canonicalBytes(f *Frame) []byte {
 	return append(b, f.Payload...)
 }
 
+// Keyring holds the per-source keys frames are signed and verified
+// under; *reliable.Keyring implements it. It is declared here so the
+// wire layer does not depend on the simulator packages reliable uses.
+type Keyring interface {
+	MAC(src topology.Node, data []byte) ([]byte, error)
+	CheckMAC(src topology.Node, data, mac []byte) (bool, error)
+}
+
 // SignFrame fills in f.MAC under the source's key.
-func SignFrame(kr *reliable.Keyring, f *Frame) error {
-	msg, err := kr.Sign(reliable.Message{Source: f.Source, Payload: canonicalBytes(f)})
+func SignFrame(kr Keyring, f *Frame) error {
+	mac, err := kr.MAC(f.Source, canonicalBytes(f))
 	if err != nil {
 		return err
 	}
-	f.MAC = msg.MAC
+	f.MAC = mac
 	return nil
 }
 
@@ -219,11 +226,11 @@ func SignFrame(kr *reliable.Keyring, f *Frame) error {
 // retransmission of signed data (or a signed EPOCH response), never
 // forge it. EPOCH responses are signed: a rejoining node fast-forwards
 // its epoch counter off them, so they must be unforgeable.
-func VerifyFrame(kr *reliable.Keyring, f *Frame) (bool, error) {
+func VerifyFrame(kr Keyring, f *Frame) (bool, error) {
 	if f.Kind == FrameNak || f.Kind == FrameMiss || f.Kind == FrameJoin {
 		return true, nil
 	}
-	return kr.Verify(reliable.Message{Source: f.Source, Payload: canonicalBytes(f), MAC: f.MAC})
+	return kr.CheckMAC(f.Source, canonicalBytes(f), f.MAC)
 }
 
 // WriteFrame writes body to w as one length-prefixed record.

@@ -6,15 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ihc/internal/simnet"
 	"ihc/internal/topology"
 )
 
 // LoopbackConfig shapes an in-process mesh.
 type LoopbackConfig struct {
 	Graph *topology.Graph
-	// Latency is the per-hop link latency every frame pays. Use
-	// SimLatency to derive it from simnet timing parameters.
+	// Latency is the per-hop link latency every frame pays.
 	Latency time.Duration
 	// Filter, when non-nil, interposes on every directed link — this
 	// is where the chaos plan attaches.
@@ -24,16 +22,6 @@ type LoopbackConfig struct {
 	QueueLen int
 	// Epoch anchors the Filter's time axis; defaults to creation time.
 	Epoch time.Time
-}
-
-// SimLatency converts the simulator's per-hop store-and-forward cost
-// (τ_S switching + α header transfer, in ticks) to wall time at the
-// given tick duration. This is what makes Loopback the deterministic
-// double of simnet: same topology, same per-link FIFO order, hop
-// latency scaled from the same timing model.
-func SimLatency(p simnet.Params, perTick time.Duration) time.Duration {
-	p = p.Defaulted()
-	return time.Duration(int64(p.TauS)+int64(p.Alpha)) * perTick
 }
 
 type loopQueued struct {
@@ -145,9 +133,9 @@ type loopEndpoint struct {
 	stats EndpointStats
 }
 
-func (e *loopEndpoint) Self() topology.Node   { return e.self }
-func (e *loopEndpoint) Recv() <-chan []byte   { return e.inbox }
-func (e *loopEndpoint) Close() error          { return nil }
+func (e *loopEndpoint) Self() topology.Node         { return e.self }
+func (e *loopEndpoint) Recv() <-chan []byte         { return e.inbox }
+func (e *loopEndpoint) Close() error                { return nil }
 func (e *loopEndpoint) PeerDown(topology.Node) bool { return false }
 
 func (e *loopEndpoint) Stats() EndpointStats {

@@ -1,12 +1,12 @@
-// Package transport lifts the IHC broadcast off the discrete-event
-// simulator and onto a real message-passing mesh. It defines the
-// Transport abstraction every higher layer (the ihcd node protocol, the
-// wall-clock repair planner, the cluster harness) is written against,
-// with two implementations:
+// Package transport is the wire layer that lifts the IHC broadcast off
+// the discrete-event simulator and onto a real message-passing mesh:
+// frames and their MACs, the Endpoint abstraction, two meshes, and the
+// retry policy. The protocol node that runs on it is stream.Node (a
+// one-shot round is epoch 0 of a one-epoch stream); nothing here knows
+// the IHC schedule. The two meshes are:
 //
 //   - Loopback: an in-process deterministic test double. Frames cross
-//     per-directed-link FIFO queues with a latency function derived
-//     from the simnet timing model (one tick scaled to wall time), so
+//     per-directed-link FIFO queues with a fixed per-hop latency, so
 //     protocol logic can be driven — and chaos-tested — without
 //     sockets, while keeping exactly the per-link FIFO and adjacency
 //     discipline of the simulated network.
